@@ -67,11 +67,6 @@ class TwoForm:
     def __repr__(self):
         return f"TwoForm(dim={self.dim}, entries={self.entries.tolist()})"
 
-    def euclidean_norm(self) -> float:
-        """Euclidean norm: sqrt of the sum of squared upper-triangle coefficients."""
-        iu = np.triu_indices(self.dim, k=1)
-        return float(np.sqrt(np.sum(self.entries[iu] ** 2)))
-
 
 @dataclass
 class CoVector:

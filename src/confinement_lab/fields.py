@@ -204,23 +204,6 @@ class MagneticField:
         out = norm_sp_batch(self.field_matrix_batch(x, domain=domain))
         return float(out) if np.ndim(out) == 0 else out
 
-    def singular_locus_hits(self, x):
-        """Boolean mask of points on the field's singular locus (default: none)."""
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1], dtype=bool)
-
-    def as_potential_field(self, domain=None) -> PotentialField:
-        closed = None
-        if getattr(self, "_has_closed_form", False):
-            closed = lambda x: self._closed_field(np.asarray(x, float))
-        return PotentialField(
-            potential=self.potential,
-            dim=self.dim,
-            field=closed,
-            domain=domain if domain is not None else self.domain,
-            meta={"kind": self.kind},
-        )
-
     def to_json(self):
         raise NotImplementedError
 
@@ -229,7 +212,6 @@ class ConstantField(MagneticField):
     """Constant two-form B0 with the linear gauge a(x) = (1/2) B0^T x."""
 
     kind = "constant"
-    _has_closed_form = True
 
     def __init__(self, two_form, domain=None):
         b = two_form if isinstance(two_form, TwoForm) else TwoForm(two_form)
@@ -258,7 +240,6 @@ class PolytopeField(MagneticField):
     """
 
     kind = "polytope_field"
-    _has_closed_form = False
 
     def __init__(self, domain: Polytope):
         if not isinstance(domain, Polytope):
@@ -286,9 +267,6 @@ class PolytopeField(MagneticField):
         vals = self.domain.values(x)
         return np.sum(1.0 / vals**2, axis=-1)
 
-    def singular_locus_hits(self, x):
-        return np.any(np.abs(self.domain.values(x)) < _DENOM_TINY, axis=-1)
-
     def to_json(self):
         return {"kind": "polytope_field", "domain": self.domain.to_json()}
 
@@ -297,7 +275,6 @@ class ToroidalField(MagneticField):
     """A = A0 / D^alpha near the boundary of a tubular domain (alpha >= 1)."""
 
     kind = "toroidal"
-    _has_closed_form = False
 
     def __init__(self, alpha, domain, base_one_form=None):
         if alpha < 1.0:
@@ -327,7 +304,6 @@ class NonToroidalField(MagneticField):
     """A = A0 / D^2 on a ball; A0 smooth, its boundary pullback has zeros."""
 
     kind = "nontoroidal"
-    _has_closed_form = False
 
     def __init__(self, domain: Ball3D, base_one_form=None):
         if not isinstance(domain, Ball3D):
@@ -359,7 +335,6 @@ class DiskCounterexampleField(MagneticField):
     """
 
     kind = "disk_counterexample"
-    _has_closed_form = True
 
     def __init__(self, alpha):
         if not (0.0 < alpha < SQRT3_OVER_2):
@@ -397,10 +372,6 @@ class DiskCounterexampleField(MagneticField):
         """|B| D^2 at radius r: alpha (2 - r)."""
         return self.alpha * (2.0 - np.asarray(r, dtype=float))
 
-    def singular_locus_hits(self, x):
-        r = np.linalg.norm(np.asarray(x, float), axis=-1)
-        return np.abs(r - 1.0) < _DENOM_TINY
-
     def to_json(self):
         return {"kind": "disk_counterexample", "alpha": self.alpha}
 
@@ -409,7 +380,6 @@ class MonopoleField(MagneticField):
     """Charge-m monopole on punctured 3-space; |B|_sp = (|m|/2) / |x|^2."""
 
     kind = "monopole"
-    _has_closed_form = True
 
     def __init__(self, charge):
         if not isinstance(charge, (int, np.integer)) or isinstance(charge, bool):
@@ -462,9 +432,6 @@ class MonopoleField(MagneticField):
         """Total flux through any origin-centered sphere: 2 pi m exactly."""
         return 2.0 * math.pi * self.charge
 
-    def singular_locus_hits(self, x):
-        return np.linalg.norm(np.asarray(x, float), axis=-1) < _DENOM_TINY
-
     def to_json(self):
         return {"kind": "monopole", "charge": self.charge}
 
@@ -478,7 +445,6 @@ class DipoleField(MagneticField):
     """
 
     kind = "dipole"
-    _has_closed_form = True
 
     def __init__(self, direction=(0.0, 0.0, 1.0)):
         v = np.asarray(direction, dtype=float).reshape(3)
@@ -517,9 +483,6 @@ class DipoleField(MagneticField):
         mats[..., 1, 0] = -v[..., 2]
         return mats
 
-    def singular_locus_hits(self, x):
-        return np.linalg.norm(np.asarray(x, float), axis=-1) < _DENOM_TINY
-
     def to_json(self):
         return {"kind": "dipole", "direction": self.direction.tolist()}
 
@@ -555,7 +518,6 @@ class MultipoleField(MagneticField):
     degree 1 matches the dipole closed form to O(h^2)."""
 
     kind = "multipole"
-    _has_closed_form = False
 
     def __init__(self, directions):
         self.directions = [np.asarray(v, float).reshape(3) / np.linalg.norm(v) for v in directions]
@@ -597,9 +559,6 @@ class MultipoleField(MagneticField):
             mats[i] = multipole_field(self.directions, pt).entries
         return mats[0] if squeeze else mats.reshape(x.shape[:-1] + (3, 3))
 
-    def singular_locus_hits(self, x):
-        return np.linalg.norm(np.asarray(x, float), axis=-1) < _DENOM_TINY
-
     def to_json(self):
         return {"kind": "multipole", "directions": [v.tolist() for v in self.directions]}
 
@@ -617,10 +576,6 @@ class GaugeShiftField(MagneticField):
         self.dim = base.dim
         self.domain = base.domain
 
-    @property
-    def _has_closed_form(self):
-        return getattr(self.base, "_has_closed_form", False)
-
     def potential(self, x):
         return self.base.potential(x) + self.polynomial.gradient(x)
 
@@ -630,9 +585,6 @@ class GaugeShiftField(MagneticField):
 
     def _closed_field(self, x):
         return self.base._closed_field(x)
-
-    def singular_locus_hits(self, x):
-        return self.base.singular_locus_hits(x)
 
     def to_json(self):
         return {
@@ -801,6 +753,50 @@ def _tangent_frame(normal, seed_vec=None):
     return e1, e2
 
 
+def _tangential_part(a0, surface, p):
+    """Component of the one-form a0 at p tangent to the surface."""
+    a = np.asarray(a0(p), dtype=float)
+    n = surface.normal(p)
+    return a - np.dot(a, n) * n
+
+
+class _ChartGaussNewton:
+    """Gauss-Newton model of (1/2)|F(u)|^2 on a boundary chart.
+
+    F(u) = (e1.t, e2.t), with t the tangential part of the one-form a0 at
+    chart(u) and (e1, e2) the chart frame.  The gradient is J^T F and the
+    Hessian model J^T J, with J a forward difference; F and J are computed
+    once per point and shared by the objective and the Hessian.
+    """
+
+    step = 1e-7
+
+    def __init__(self, a0, surface, chart, frame):
+        self.a0 = a0
+        self.surface = surface
+        self.chart = chart
+        self.frame = np.array(frame)
+        self._u = None
+
+    def residual(self, u):
+        return self.frame @ _tangential_part(self.a0, self.surface, self.chart(u))
+
+    def _terms(self, u):
+        if self._u is None or not np.array_equal(u, self._u):
+            f = self.residual(u)
+            cols = [(self.residual(u + d) - f) / self.step for d in self.step * np.eye(2)]
+            self._u, self._f, self._jac = np.array(u), f, np.column_stack(cols)
+        return self._f, self._jac
+
+    def objective(self, u):
+        f, jac = self._terms(u)
+        return 0.5 * float(f @ f), jac.T @ f
+
+    def hessian(self, u):
+        _, jac = self._terms(u)
+        return jac.T @ jac
+
+
 def _surface_for_domain(domain):
     if isinstance(domain, Ball3D):
         return _SphereSurface(domain.radius)
@@ -812,6 +808,12 @@ def _surface_for_domain(domain):
 def boundary_one_form_analysis(field, resolution=48, retries=3):
     """Locate the zeros of the boundary pullback of a field's reference
     one-form and test the non-degeneracy assumption |d omega|_sp > 1 there.
+
+    Grid points whose tangential norm is below a quarter of the maximum are
+    refined, nearest-to-zero first, by Gauss-Newton on the chart residual
+    (see _ChartGaussNewton) through one trust-exact minimize call per chart.
+    A refined point counts as a zero only if its tangential norm is at most
+    1e-8 of the maximum; otherwise the candidate is retried on rotated charts.
 
     Parameters
     ----------
@@ -837,10 +839,7 @@ def boundary_one_form_analysis(field, resolution=48, retries=3):
     pts = surface.grid(resolution)
 
     def tangential_norm(p):
-        a = np.asarray(a0(p), dtype=float)
-        n = surface.normal(p)
-        t = a - np.dot(a, n) * n
-        return float(np.linalg.norm(t))
+        return float(np.linalg.norm(_tangential_part(a0, surface, p)))
 
     tnorms = np.array([tangential_norm(p) for p in pts])
     scale = max(float(np.max(tnorms)), 1e-30)
@@ -864,11 +863,10 @@ def boundary_one_form_analysis(field, resolution=48, retries=3):
                 seed = rng.normal(size=3)
             frame = _tangent_frame(surface.normal(p0), seed_vec=seed)
             chart = surface.local_chart(p0, frame)
+            gn = _ChartGaussNewton(a0, surface, chart, frame)
             res = minimize(
-                lambda u: tangential_norm(chart(u)) ** 2,
-                x0=np.zeros(2),
-                method="Nelder-Mead",
-                options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 400},
+                gn.objective, np.zeros(2), jac=True, hess=gn.hessian,
+                method="trust-exact", options={"gtol": 1e-16},
             )
             q = chart(res.x)
             if tangential_norm(q) <= zero_tol:

@@ -187,10 +187,6 @@ class LatticeOperator:
         self._check_residuals(vals, vecs)
         return vals, vecs
 
-    def min_eigenvalue(self, tol=1e-6):
-        """Smallest eigenvalue only, under a looser residual tolerance."""
-        return min_eigenvalue_of(self.matrix, rtol=tol)
-
     def to_matrix_market(self, path):
         scipy.io.mmwrite(str(path), self.matrix.tocoo())
 

@@ -519,6 +519,40 @@ class TestBoundaryOneForm:
             assert z.derivative_norm_sp == pytest.approx(0.8, abs=1e-6)
         assert not report.assumption_satisfied
 
+    class CrossOneForm:
+        """x -> w cross x, counting its calls; its pullback to the unit
+        sphere vanishes at +-w/|w| with |d omega|_sp = 2|w| there."""
+
+        def __init__(self, w):
+            self.w = np.asarray(w, dtype=float)
+            self.calls = 0
+
+        def __call__(self, x):
+            self.calls += 1
+            return np.cross(self.w, np.asarray(x, dtype=float))
+
+    @pytest.mark.parametrize("w", [[0.3, -0.5, 0.8], [0.2, 0.1, -0.25]])
+    def test_off_grid_zeros_of_tilted_cross_form(self, w):
+        w = np.asarray(w)
+        f = NonToroidalField(Ball3D(1.0), base_one_form=self.CrossOneForm(w))
+        report = boundary_one_form_analysis(f)
+        axis = w / np.linalg.norm(w)
+        assert len(report.zeros) == 2
+        got = sorted((z.point for z in report.zeros), key=lambda p: float(p @ axis))
+        np.testing.assert_allclose(got[0], -axis, atol=1e-9)
+        np.testing.assert_allclose(got[1], axis, atol=1e-9)
+        for z in report.zeros:
+            assert z.derivative_norm_sp == pytest.approx(2.0 * np.linalg.norm(w), abs=1e-9)
+        assert report.assumption_satisfied == (2.0 * np.linalg.norm(w) > 1.0)
+
+    def test_zero_refinement_evaluation_count(self):
+        # deterministic work guard: the coarse grid costs 1154 calls, so the
+        # 194 refinements around the poles must stay cheap
+        a0 = self.CrossOneForm([0.0, 0.0, 1.0])
+        report = boundary_one_form_analysis(NonToroidalField(Ball3D(1.0), base_one_form=a0))
+        assert len(report.zeros) == 2
+        assert a0.calls < 8000
+
     def test_azimuthal_form_on_torus_never_vanishes(self):
         f = ToroidalField(2.0, SolidTorus3D(3.0, 1.0))
         report = boundary_one_form_analysis(f, resolution=32)
