@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -32,129 +33,114 @@ class SpecError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# parameter extraction
+# parameter table interpreter
+#
+# A task's parameters are rows (name, type, default, rules).  The type is
+# float, int, bool, (float,) or (int,) for a nonempty list, a set of choices,
+# or a dict mapping each choice to the rows it brings along.  The rules are
+# gt/ge (bounds), nonzero, length and decreasing; list rules bound each entry.
+
+REQUIRED = object()  # default of a parameter the spec must give
+_NOUNS = {float: ("a number", "a non-number", "numbers"),
+          int: ("an integer", "a non-integer", "integers")}
 
 
-def _pop(params, key, default, required, task):
-    if key in params:
-        return params.pop(key)
-    if required:
-        raise SpecError(f"task {task!r} needs parameter {key!r}")
-    return default
+def _of_type(kind, raw):
+    return not isinstance(raw, bool) and isinstance(raw, (int, float) if kind is float else int)
 
 
-def _as_float(params, key, task, default=None, required=False, minimum=None,
-              strict=False, maximum=None):
-    raw = _pop(params, key, default, required, task)
-    if raw is None:
+def _bound(subject, val, rules):
+    if "gt" in rules and val <= rules["gt"]:
+        raise SpecError(f"{subject} must be greater than {rules['gt']}, got {val}")
+    if "ge" in rules and val < rules["ge"]:
+        raise SpecError(f"{subject} must be at least {rules['ge']}, got {val}")
+    if rules.get("nonzero") and val == 0:
+        raise SpecError(f"{subject} must be nonzero")
+
+
+def _param(row, raw):
+    name, kind, default, rules = row
+    if isinstance(kind, (set, dict)):
+        if not isinstance(raw, str) or raw not in kind:
+            raise SpecError(f"parameter {name!r} must be one of {sorted(kind)}, got {raw!r}")
+        return raw
+    if raw is None and default is None:  # an optional number or list left out
         return None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise SpecError(f"parameter {key!r} must be a number, got {raw!r}")
-    val = float(raw)
-    if minimum is not None and (val <= minimum if strict else val < minimum):
-        bound = "greater than" if strict else "at least"
-        raise SpecError(f"parameter {key!r} must be {bound} {minimum}, got {val}")
-    if maximum is not None and val > maximum:
-        raise SpecError(f"parameter {key!r} must be at most {maximum}, got {val}")
-    return val
-
-
-def _as_int(params, key, task, default=None, required=False, minimum=None,
-            nonzero=False):
-    raw = _pop(params, key, default, required, task)
-    if raw is None:
-        return None
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise SpecError(f"parameter {key!r} must be an integer, got {raw!r}")
-    if minimum is not None and raw < minimum:
-        raise SpecError(f"parameter {key!r} must be at least {minimum}, got {raw}")
-    if nonzero and raw == 0:
-        raise SpecError(f"parameter {key!r} must be nonzero")
-    return raw
-
-
-def _as_bool(params, key, task, default=False):
-    raw = _pop(params, key, default, False, task)
-    if not isinstance(raw, bool):
-        raise SpecError(f"parameter {key!r} must be true or false, got {raw!r}")
-    return raw
-
-
-def _as_choice(params, key, task, default, allowed):
-    raw = _pop(params, key, default, False, task)
-    if raw not in allowed:
-        raise SpecError(
-            f"parameter {key!r} must be one of {sorted(allowed)}, got {raw!r}"
-        )
-    return raw
-
-
-def _as_float_list(params, key, task, default=None, required=False,
-                   minimum=None, strict=False, length=None, decreasing=False):
-    raw = _pop(params, key, default, required, task)
-    if raw is None:
-        return None
+    if kind is bool:
+        if not isinstance(raw, bool):
+            raise SpecError(f"parameter {name!r} must be true or false, got {raw!r}")
+        return raw
+    if not isinstance(kind, tuple):
+        if not _of_type(kind, raw):
+            raise SpecError(f"parameter {name!r} must be {_NOUNS[kind][0]}, got {raw!r}")
+        val = kind(raw)
+        _bound(f"parameter {name!r}", val, rules)
+        return val
+    (item,) = kind
+    _, non, plural = _NOUNS[item]
     if not isinstance(raw, (list, tuple)) or not raw:
-        raise SpecError(f"parameter {key!r} must be a nonempty list of numbers")
-    vals = []
+        raise SpecError(f"parameter {name!r} must be a nonempty list of {plural}")
     for v in raw:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SpecError(f"parameter {key!r} holds a non-number {v!r}")
-        vals.append(float(v))
-    if length is not None and len(vals) != length:
-        raise SpecError(f"parameter {key!r} must have exactly {length} entries")
-    if minimum is not None:
-        for v in vals:
-            if v <= minimum if strict else v < minimum:
-                bound = "greater than" if strict else "at least"
-                raise SpecError(f"entries of {key!r} must be {bound} {minimum}, got {v}")
-    if decreasing and any(b >= a for a, b in zip(vals, vals[1:])):
-        raise SpecError(f"parameter {key!r} must be strictly decreasing")
+        if not _of_type(item, v):
+            raise SpecError(f"parameter {name!r} holds {non} {v!r}")
+    vals = [item(v) for v in raw]
+    if "length" in rules and len(vals) != rules["length"]:
+        raise SpecError(f"parameter {name!r} must have exactly {rules['length']} entries")
+    for v in vals:
+        _bound(f"entries of {name!r}", v, rules)
+    if rules.get("decreasing") and any(b >= a for a, b in zip(vals, vals[1:])):
+        raise SpecError(f"parameter {name!r} must be strictly decreasing")
     return vals
 
 
-def _as_int_list(params, key, task, default=None, required=False, nonzero=False):
-    raw = _pop(params, key, default, required, task)
-    if raw is None:
-        return None
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise SpecError(f"parameter {key!r} must be a nonempty list of integers")
-    vals = []
-    for v in raw:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise SpecError(f"parameter {key!r} holds a non-integer {v!r}")
-        if nonzero and v == 0:
-            raise SpecError(f"entries of {key!r} must be nonzero")
-        vals.append(int(v))
-    return vals
+def _read(rows, params, task, ctx):
+    for row in rows:
+        name, kind, default, _ = row
+        raw = params.pop(name, default)
+        if raw is REQUIRED:
+            raise SpecError(f"task {task!r} needs parameter {name!r}")
+        ctx[name] = _param(row, raw)
+        if isinstance(kind, dict):
+            _read(kind[ctx[name]], params, task, ctx)
 
 
-def _done(params, task):
-    if params:
-        names = ", ".join(sorted(map(repr, params)))
-        raise SpecError(f"unknown parameter(s) for task {task!r}: {names}")
-
-
-def _load_field(spec, required):
-    obj = spec.get("field")
+def _load(spec, key, required):
+    """The spec's "field" or "domain" object; malformed JSON is a SpecError."""
+    obj = spec.get(key)
     if obj is None:
         if required:
-            raise SpecError(f"task {spec['task']!r} needs a 'field' entry")
-        return None
-    from .fields import field_from_json
-
-    return field_from_json(obj)
-
-
-def _load_domain(spec, required):
-    obj = spec.get("domain")
-    if obj is None:
-        if required:
-            raise SpecError(f"task {spec['task']!r} needs a 'domain' entry")
+            raise SpecError(f"task {spec['task']!r} needs a {key!r} entry")
         return None
     from .domains import domain_from_json
+    from .errors import ConfinementError
+    from .fields import field_from_json
 
-    return domain_from_json(obj)
+    try:
+        return (field_from_json if key == "field" else domain_from_json)(obj)
+    except ConfinementError:
+        raise
+    except (KeyError, TypeError, ValueError) as err:
+        raise SpecError(f"malformed {key!r} entry ({type(err).__name__}: {err})") from err
+
+
+def _validate(spec):
+    """Check a loaded spec against its task's table; returns the runner's context."""
+    name = spec["task"]
+    task = TASKS[name]
+    params = dict(spec.get("params") or {})
+    ctx = {}
+    _read(task.rows, params, name, ctx)
+    if params:
+        names = ", ".join(sorted(map(repr, params)))
+        raise SpecError(f"unknown parameter(s) for task {name!r}: {names}")
+    if task.check is not None:
+        task.check(ctx)
+    for key, required in task.reads.items():
+        ctx[key] = _load(spec, key, required)
+    field, dom = ctx.get("field"), ctx.get("domain")
+    if field is not None and dom is not None and field.dim != dom.dim:
+        raise SpecError(f"field is {field.dim}-dimensional but the domain is {dom.dim}-dimensional")
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +186,7 @@ def _flag(b):
 
 
 # ---------------------------------------------------------------------------
-# task validators: spec -> context dict (no computation beyond construction)
-
-
-def _v_scan_criterion(spec):
-    task = spec["task"]
-    p = dict(spec.get("params") or {})
-    ctx = {
-        "anchors": _as_int(p, "anchors", task, default=64, minimum=1),
-        "depths": _as_float_list(p, "depths", task, minimum=0.0, strict=True),
-        "eta0": _as_float(p, "eta0", task, default=0.05, minimum=0.0, strict=True),
-    }
-    _done(p, task)
-    ctx["field"] = _load_field(spec, required=True)
-    ctx["domain"] = _load_domain(spec, required=False)
-    return ctx
+# task runners (context -> payload, CSV, warnings, operator) and the task table
 
 
 def _r_scan_criterion(ctx, seed):
@@ -229,19 +201,6 @@ def _r_scan_criterion(ctx, seed):
         seed=seed,
     )
     return report.to_json(), report.to_csv(), list(report.warnings), None
-
-
-def _v_direction_scan(spec):
-    task = spec["task"]
-    p = dict(spec.get("params") or {})
-    ctx = {
-        "anchors": _as_int(p, "anchors", task, default=64, minimum=1),
-        "depths": _as_float_list(p, "depths", task, minimum=0.0, strict=True),
-    }
-    _done(p, task)
-    ctx["field"] = _load_field(spec, required=True)
-    ctx["domain"] = _load_domain(spec, required=False)
-    return ctx
 
 
 def _r_direction_scan(ctx, seed):
@@ -260,24 +219,6 @@ def _r_direction_scan(ctx, seed):
     return result, csv, warnings, None
 
 
-def _v_eig(spec):
-    task = spec["task"]
-    p = dict(spec.get("params") or {})
-    ctx = {
-        "h": _as_float(p, "h", task, required=True, minimum=0.0, strict=True),
-        "delta": _as_float(p, "delta", task, default=0.0, minimum=0.0),
-        "k": _as_int(p, "k", task, default=6, minimum=1),
-        "quadrature": _as_choice(p, "quadrature", task, "midpoint",
-                                 {"midpoint", "gauss3"}),
-    }
-    _done(p, task)
-    if ctx["delta"] > 0.0 and not ctx["h"] < ctx["delta"] / 2.0:
-        raise SpecError("truncated grids need h < delta/2")
-    ctx["field"] = _load_field(spec, required=True)
-    ctx["domain"] = _load_domain(spec, required=True)
-    return ctx
-
-
 def _r_eig(ctx, seed):
     from .lattice import assemble
 
@@ -293,25 +234,6 @@ def _r_eig(ctx, seed):
     }
     rows = [[str(i), _g(v)] for i, v in enumerate(vals)]
     return payload, _csv_table(["index", "eigenvalue"], rows), [], op
-
-
-def _v_hur_probe(spec):
-    task = spec["task"]
-    p = dict(spec.get("params") or {})
-    ctx = {
-        "eps": _as_float(p, "eps", task, default=0.1, minimum=0.0, strict=True),
-        "deltas": _as_float_list(p, "deltas", task, default=[0.1, 0.05, 0.025],
-                                 minimum=0.0, strict=True, decreasing=True),
-        "h_divisor": _as_float(p, "h_divisor", task, default=2.5, minimum=2.0,
-                               strict=True),
-        "tol": _as_float(p, "tol", task, default=1e-6, minimum=0.0, strict=True),
-    }
-    _done(p, task)
-    if ctx["eps"] >= 1.0:
-        raise SpecError("parameter 'eps' must lie in (0, 1)")
-    ctx["field"] = _load_field(spec, required=True)
-    ctx["domain"] = _load_domain(spec, required=True)
-    return ctx
 
 
 def _r_hur_probe(ctx, seed):
@@ -354,22 +276,6 @@ def _endpoint_rows(verdict):
     return rows
 
 
-def _v_classify_radial(spec):
-    task = spec["task"]
-    p = dict(spec.get("params") or {})
-    problem = _as_choice(p, "problem", task, None, {"disk_mode", "monopole"})
-    ctx = {"problem": problem}
-    if problem == "disk_mode":
-        ctx["alpha"] = _as_float(p, "alpha", task, required=True, minimum=0.0,
-                                 strict=True)
-        ctx["mode"] = _as_int(p, "mode", task, default=0)
-    else:
-        ctx["charge"] = _as_int(p, "charge", task, required=True, nonzero=True)
-    ctx["method"] = _as_choice(p, "method", task, "indicial", {"indicial", "solve"})
-    _done(p, task)
-    return ctx
-
-
 def _r_classify_radial(ctx, seed):
     from .radial import esa_verdict_radial, reduce_disk_mode, reduce_monopole
 
@@ -399,37 +305,6 @@ def _r_classify_radial(ctx, seed):
     return payload, csv, [], None
 
 
-def _v_sweep_alpha(spec):
-    task = spec["task"]
-    p = dict(spec.get("params") or {})
-    alphas = _as_float_list(p, "alphas", task, minimum=0.0, strict=True)
-    rng = _as_float_list(p, "range", task, length=2, minimum=0.0, strict=True)
-    step = _as_float(p, "step", task, minimum=0.0, strict=True)
-    ctx = {
-        "mode": _as_int(p, "mode", task, default=0),
-        "method": _as_choice(p, "method", task, "indicial", {"indicial", "solve"}),
-        "bisect": _as_bool(p, "bisect", task, default=False),
-    }
-    _done(p, task)
-    if alphas is None and rng is None:
-        raise SpecError("sweep-alpha needs either 'alphas' or 'range' + 'step'")
-    if alphas is not None and rng is not None:
-        raise SpecError("give either 'alphas' or 'range', not both")
-    if rng is not None:
-        if step is None:
-            raise SpecError("'range' needs a 'step'")
-        lo, hi = rng
-        if hi <= lo:
-            raise SpecError("'range' must be [lo, hi] with lo < hi")
-        alphas = []
-        v = lo
-        while v <= hi + 1e-12:
-            alphas.append(round(v, 12))
-            v += step
-    ctx["alphas"] = alphas
-    return ctx
-
-
 def _r_sweep_alpha(ctx, seed):
     from .radial import sweep_alpha, threshold_bisection
 
@@ -455,17 +330,6 @@ def _r_sweep_alpha(ctx, seed):
     return payload, csv, warnings, None
 
 
-def _v_monopole_verdict(spec):
-    task = spec["task"]
-    p = dict(spec.get("params") or {})
-    ctx = {
-        "charges": _as_int_list(p, "charges", task, default=[1, 2, 3, 4],
-                                nonzero=True),
-    }
-    _done(p, task)
-    return ctx
-
-
 def _r_monopole_verdict(ctx, seed):
     from .radial import esa_verdict_radial, reduce_monopole
 
@@ -486,19 +350,6 @@ def _r_monopole_verdict(ctx, seed):
     payload = {"rows": payload_rows, "all_agree": all_agree}
     csv = _csv_table(["charge", "esa_indicial", "esa_solve", "agree"], rows)
     return payload, csv, [], None
-
-
-def _v_spherical_table(spec):
-    task = spec["task"]
-    p = dict(spec.get("params") or {})
-    ctx = {
-        "m": _as_int(p, "m", task, required=True),
-        "k_max": _as_int(p, "k_max", task, required=True, minimum=0),
-    }
-    _done(p, task)
-    if ctx["k_max"] < abs(ctx["m"]) or (ctx["k_max"] - abs(ctx["m"])) % 2:
-        raise SpecError("'k_max' must be >= |m| and of the same parity")
-    return ctx
 
 
 def _r_spherical_table(ctx, seed):
@@ -532,22 +383,6 @@ def _r_spherical_table(ctx, seed):
     return payload, csv, [], None
 
 
-def _v_landau_check(spec):
-    task = spec["task"]
-    p = dict(spec.get("params") or {})
-    ctx = {
-        "b": _as_float(p, "b", task, default=1.0, minimum=0.0, strict=True),
-        "side": _as_float(p, "side", task, default=20.0, minimum=0.0, strict=True),
-        "h": _as_float(p, "h", task, default=0.25, minimum=0.0, strict=True),
-        "k": _as_int(p, "k", task, default=1, minimum=1),
-        "window": _as_float_list(p, "window", task, default=[0.9, 1.1], length=2),
-    }
-    _done(p, task)
-    if ctx["window"][1] <= ctx["window"][0]:
-        raise SpecError("'window' must be [lo, hi] with lo < hi")
-    return ctx
-
-
 def _r_landau_check(ctx, seed):
     from .domains import axis_box
     from .exterior import plane_two_form
@@ -578,28 +413,6 @@ def _r_landau_check(ctx, seed):
     }
     rows = [[str(i), _g(v)] for i, v in enumerate(vals)]
     return payload, _csv_table(["index", "eigenvalue"], rows), warnings, op
-
-
-def _v_lemma_slack(spec):
-    task = spec["task"]
-    p = dict(spec.get("params") or {})
-    ctx = {
-        "h": _as_float(p, "h", task, required=True, minimum=0.0, strict=True),
-        "delta": _as_float(p, "delta", task, default=0.0, minimum=0.0),
-        "K": _as_float(p, "K", task, minimum=0.0),
-        "n_random": _as_int(p, "n_random", task, default=50, minimum=0),
-        "n_eigenvectors": _as_int(p, "n_eigenvectors", task, default=2, minimum=0),
-        "calibration_h": _as_float(p, "calibration_h", task, default=0.4,
-                                   minimum=0.0, strict=True),
-        "calibration_side": _as_float(p, "calibration_side", task, default=8.0,
-                                      minimum=0.0, strict=True),
-    }
-    _done(p, task)
-    if ctx["delta"] > 0.0 and not ctx["h"] < ctx["delta"] / 2.0:
-        raise SpecError("truncated grids need h < delta/2")
-    ctx["field"] = _load_field(spec, required=True)
-    ctx["domain"] = _load_domain(spec, required=True)
-    return ctx
 
 
 def _r_lemma_slack(ctx, seed):
@@ -643,17 +456,106 @@ def _r_lemma_slack(ctx, seed):
     return payload, csv, [], None
 
 
+def _check_truncation(ctx):
+    if ctx["delta"] > 0.0 and not ctx["h"] < ctx["delta"] / 2.0:
+        raise SpecError("truncated grids need h < delta/2")
+
+
+def _check_eps(ctx):
+    if ctx["eps"] >= 1.0:
+        raise SpecError("parameter 'eps' must lie in (0, 1)")
+
+
+def _expand_alphas(ctx):
+    alphas, rng, step = ctx["alphas"], ctx.pop("range"), ctx.pop("step")
+    if alphas is None and rng is None:
+        raise SpecError("sweep-alpha needs either 'alphas' or 'range' + 'step'")
+    if alphas is not None and rng is not None:
+        raise SpecError("give either 'alphas' or 'range', not both")
+    if rng is not None:
+        if step is None:
+            raise SpecError("'range' needs a 'step'")
+        lo, hi = rng
+        if hi <= lo:
+            raise SpecError("'range' must be [lo, hi] with lo < hi")
+        alphas = []
+        v = lo
+        while v <= hi + 1e-12:
+            alphas.append(round(v, 12))
+            v += step
+    ctx["alphas"] = alphas
+
+
+def _check_parity(ctx):
+    if ctx["k_max"] < abs(ctx["m"]) or (ctx["k_max"] - abs(ctx["m"])) % 2:
+        raise SpecError("'k_max' must be >= |m| and of the same parity")
+
+
+def _check_window(ctx):
+    if ctx["window"][1] <= ctx["window"][0]:
+        raise SpecError("'window' must be [lo, hi] with lo < hi")
+
+
+# runner, parameter rows, cross-parameter check (run after the rows), and the
+# spec entries read after it: {"field"/"domain": required?}
+Task = namedtuple("Task", "runner rows check reads")
+POSITIVE = {"gt": 0.0}
+METHODS = {"indicial", "solve"}
+SCAN_ROWS = [("anchors", int, 64, {"ge": 1}), ("depths", (float,), None, POSITIVE)]
+SCAN_READS = {"field": True, "domain": False}
+LATTICE_READS = {"field": True, "domain": True}
+
 TASKS = {
-    "scan-criterion": (_v_scan_criterion, _r_scan_criterion),
-    "direction-scan": (_v_direction_scan, _r_direction_scan),
-    "eig": (_v_eig, _r_eig),
-    "hur-probe": (_v_hur_probe, _r_hur_probe),
-    "classify-radial": (_v_classify_radial, _r_classify_radial),
-    "sweep-alpha": (_v_sweep_alpha, _r_sweep_alpha),
-    "monopole-verdict": (_v_monopole_verdict, _r_monopole_verdict),
-    "spherical-table": (_v_spherical_table, _r_spherical_table),
-    "landau-check": (_v_landau_check, _r_landau_check),
-    "lemma-slack": (_v_lemma_slack, _r_lemma_slack),
+    "scan-criterion": Task(_r_scan_criterion,
+                           SCAN_ROWS + [("eta0", float, 0.05, POSITIVE)], None, SCAN_READS),
+    "direction-scan": Task(_r_direction_scan, SCAN_ROWS, None, SCAN_READS),
+    "eig": Task(_r_eig, [
+        ("h", float, REQUIRED, POSITIVE),
+        ("delta", float, 0.0, {"ge": 0.0}),
+        ("k", int, 6, {"ge": 1}),
+        ("quadrature", {"midpoint", "gauss3"}, "midpoint", {}),
+    ], _check_truncation, LATTICE_READS),
+    "hur-probe": Task(_r_hur_probe, [
+        ("eps", float, 0.1, POSITIVE),
+        ("deltas", (float,), [0.1, 0.05, 0.025], {"gt": 0.0, "decreasing": True}),
+        ("h_divisor", float, 2.5, {"gt": 2.0}),
+        ("tol", float, 1e-6, POSITIVE),
+    ], _check_eps, LATTICE_READS),
+    "classify-radial": Task(_r_classify_radial, [
+        ("problem", {"disk_mode": [("alpha", float, REQUIRED, POSITIVE), ("mode", int, 0, {})],
+                     "monopole": [("charge", int, REQUIRED, {"nonzero": True})]}, None, {}),
+        ("method", METHODS, "indicial", {}),
+    ], None, {}),
+    "sweep-alpha": Task(_r_sweep_alpha, [
+        ("alphas", (float,), None, POSITIVE),
+        ("range", (float,), None, {"gt": 0.0, "length": 2}),
+        ("step", float, None, POSITIVE),
+        ("mode", int, 0, {}),
+        ("method", METHODS, "indicial", {}),
+        ("bisect", bool, False, {}),
+    ], _expand_alphas, {}),
+    "monopole-verdict": Task(_r_monopole_verdict,
+                             [("charges", (int,), [1, 2, 3, 4], {"nonzero": True})], None, {}),
+    "spherical-table": Task(_r_spherical_table, [
+        ("m", int, REQUIRED, {}),
+        ("k_max", int, REQUIRED, {"ge": 0}),
+    ], _check_parity, {}),
+    "landau-check": Task(_r_landau_check, [
+        ("b", float, 1.0, POSITIVE),
+        ("side", float, 20.0, POSITIVE),
+        ("h", float, 0.25, POSITIVE),
+        ("k", int, 1, {"ge": 1}),
+        ("window", (float,), [0.9, 1.1], {"length": 2}),
+    ], _check_window, {}),
+    "lemma-slack": Task(_r_lemma_slack, [
+        ("h", float, REQUIRED, POSITIVE),
+        ("delta", float, 0.0, {"ge": 0.0}),
+        ("K", float, None, {"ge": 0.0}),
+        ("n_random", int, 50, {"ge": 0}),
+        ("n_eigenvectors", int, 2, {"ge": 0}),
+        ("calibration_h", float, 0.4, POSITIVE),
+        ("calibration_side", float, 8.0, POSITIVE),
+    ], _check_truncation, LATTICE_READS),
 }
 
 
@@ -704,11 +606,12 @@ def _spec_echo(spec, seed):
 
 def _run_spec(path, outdir, seed_flag, dump_matrix):
     spec = _load_spec(path)
-    validator, runner = TASKS[spec["task"]]
-    ctx = validator(spec)
+    ctx = _validate(spec)
     seed = seed_flag if seed_flag is not None else spec.get("seed", 0)
+    if seed < 0:
+        raise SpecError("'--seed' must be a nonnegative integer")
     started = time.perf_counter()
-    payload, csv_text, warnings, op = runner(ctx, seed)
+    payload, csv_text, warnings, op = TASKS[spec["task"]].runner(ctx, seed)
     wall = time.perf_counter() - started
 
     from . import __version__
@@ -748,8 +651,7 @@ def _run_spec(path, outdir, seed_flag, dump_matrix):
 
 def _validate_spec(path):
     spec = _load_spec(path)
-    validator, _ = TASKS[spec["task"]]
-    validator(spec)
+    _validate(spec)
     print(f"spec OK: task {spec['task']}")
     return EXIT_OK
 
@@ -779,9 +681,7 @@ def _run_canned(task, params=None, field=None, domain=None, seed=0):
         spec["field"] = field
     if domain is not None:
         spec["domain"] = domain
-    validator, runner = TASKS[task]
-    ctx = validator(spec)
-    payload, _, _, _ = runner(ctx, seed)
+    payload, _, _, _ = TASKS[task].runner(_validate(spec), seed)
     return payload
 
 

@@ -16,7 +16,7 @@ across depths and checks that it is small and contracting.
 
 import io
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,6 +232,41 @@ def default_depths(dom):
     return [f * scale for f in DEPTH_FRACTIONS]
 
 
+def _scan(field, dom, n_anchors, depths, seed):
+    """Sample the field along seeded inward rays: the one scan core.
+
+    Returns (samples, directions by anchor, excluded count, warnings, params).
+    """
+    rng = np.random.default_rng(seed)
+    depths = list(depths) if depths is not None else default_depths(dom)
+    rays = dom.near_boundary_rays(n_anchors, depths, rng)
+    warnings: list = []
+    samples, dirs, excluded = _collect_samples(field, dom, rays, warnings)
+    params = {"n_anchors": int(n_anchors), "depths": [float(d) for d in depths],
+              "seed": int(seed)}
+    return samples, dirs, excluded, warnings, params
+
+
+def _criterion(kind, field, dom, n_anchors, depths, eta0, seed):
+    samples, dirs, excluded, warnings, params = _scan(field, dom, n_anchors, depths, seed)
+    liminf = _liminf_estimate(samples)
+    regular, osc, _ = direction_regularity(dirs)
+    verdict, basis = _decide(kind, dom.dim, liminf, regular, eta0, warnings)
+    return CriterionReport(
+        kind=kind,
+        verdict=verdict,
+        liminf_estimate=liminf,
+        eta_margin=liminf - 1.0,
+        direction_oscillation=osc,
+        direction_regular=regular,
+        theorem_basis=basis,
+        samples=samples,
+        warnings=warnings,
+        excluded=excluded,
+        params=dict(params, eta0=float(eta0)),
+    )
+
+
 def scan_margin(field, dom=None, n_anchors=DEFAULT_ANCHORS, depths=None,
                 eta0=DEFAULT_ETA0, seed=0):
     """Near-boundary margin scan; returns a CriterionReport with the verdict."""
@@ -241,32 +276,7 @@ def scan_margin(field, dom=None, n_anchors=DEFAULT_ANCHORS, depths=None,
     if isinstance(dom, PuncturedSpace):
         return singular_point_criterion(field, n_rays=n_anchors, depths=depths,
                                         eta0=eta0, seed=seed)
-    rng = np.random.default_rng(seed)
-    depths = list(depths) if depths is not None else default_depths(dom)
-    rays = dom.near_boundary_rays(n_anchors, depths, rng)
-    warnings: list = []
-    samples, dirs, excluded = _collect_samples(field, dom, rays, warnings)
-    liminf = _liminf_estimate(samples)
-    regular, osc, _ = direction_regularity(dirs)
-    verdict, basis = _decide("near_boundary", dom.dim, liminf, regular, eta0, warnings)
-    return CriterionReport(
-        kind="near_boundary",
-        verdict=verdict,
-        liminf_estimate=liminf,
-        eta_margin=liminf - 1.0,
-        direction_oscillation=osc,
-        direction_regular=regular,
-        theorem_basis=basis,
-        samples=samples,
-        warnings=warnings,
-        excluded=excluded,
-        params={
-            "n_anchors": int(n_anchors),
-            "depths": [float(d) for d in depths],
-            "eta0": float(eta0),
-            "seed": int(seed),
-        },
-    )
+    return _criterion("near_boundary", field, dom, n_anchors, depths, eta0, seed)
 
 
 def singular_point_criterion(field, n_rays=DEFAULT_ANCHORS, depths=None,
@@ -276,33 +286,8 @@ def singular_point_criterion(field, n_rays=DEFAULT_ANCHORS, depths=None,
     The domain is the punctured space; the distance weight is |x| and the
     direction condition is checked per ray as the depth shrinks.
     """
-    dom = PuncturedSpace(field.dim)
-    rng = np.random.default_rng(seed)
-    depths = list(depths) if depths is not None else default_depths(dom)
-    rays = dom.near_boundary_rays(n_rays, depths, rng)
-    warnings: list = []
-    samples, dirs, excluded = _collect_samples(field, dom, rays, warnings)
-    liminf = _liminf_estimate(samples)
-    regular, osc, _ = direction_regularity(dirs)
-    verdict, basis = _decide("singular_point", dom.dim, liminf, regular, eta0, warnings)
-    return CriterionReport(
-        kind="singular_point",
-        verdict=verdict,
-        liminf_estimate=liminf,
-        eta_margin=liminf - 1.0,
-        direction_oscillation=osc,
-        direction_regular=regular,
-        theorem_basis=basis,
-        samples=samples,
-        warnings=warnings,
-        excluded=excluded,
-        params={
-            "n_anchors": int(n_rays),
-            "depths": [float(d) for d in depths],
-            "eta0": float(eta0),
-            "seed": int(seed),
-        },
-    )
+    return _criterion("singular_point", field, PuncturedSpace(field.dim), n_rays, depths,
+                      eta0, seed)
 
 
 def scan_directions(field, dom=None, n_anchors=DEFAULT_ANCHORS, depths=None,
@@ -317,11 +302,7 @@ def scan_directions(field, dom=None, n_anchors=DEFAULT_ANCHORS, depths=None,
         raise ValidationError("direction scan needs a domain (field carries none)")
     if isinstance(dom, PuncturedSpace):
         dom = PuncturedSpace(field.dim)
-    rng = np.random.default_rng(seed)
-    depths = list(depths) if depths is not None else default_depths(dom)
-    rays = dom.near_boundary_rays(n_anchors, depths, rng)
-    warnings: list = []
-    _, dirs, excluded = _collect_samples(field, dom, rays, warnings)
+    _, dirs, excluded, warnings, params = _scan(field, dom, n_anchors, depths, seed)
     regular, worst, per_anchor = direction_regularity(dirs)
     return {
         "regular": bool(regular),
@@ -329,9 +310,5 @@ def scan_directions(field, dom=None, n_anchors=DEFAULT_ANCHORS, depths=None,
         "per_anchor": [float(v) for v in per_anchor],
         "excluded": int(excluded),
         "warnings": warnings,
-        "params": {
-            "n_anchors": int(n_anchors),
-            "depths": [float(d) for d in depths],
-            "seed": int(seed),
-        },
+        "params": params,
     }

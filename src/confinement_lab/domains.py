@@ -555,9 +555,6 @@ def lipschitz_check(dom: Domain, n_pairs=2000, seed=0):
     return float(np.max(np.abs(da[ok] - db[ok]) / sep[ok]))
 
 
-_DOMAIN_KINDS = {}
-
-
 def domain_from_json(obj) -> Domain:
     """Rebuild a domain from its JSON dict; rejects unknown kinds and keys."""
     if not isinstance(obj, dict) or "kind" not in obj:

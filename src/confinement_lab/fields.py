@@ -24,7 +24,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import exterior
-from .domains import Ball3D, Disk2D, Polytope, PuncturedSpace, SolidTorus3D, domain_from_json
+from .domains import (Ball3D, Disk2D, Polytope, PuncturedSpace, SolidTorus3D, _reject_unknown,
+                      domain_from_json)
 from .errors import ChartRankError, DomainError, SingularityError, ValidationError
 from .exterior import CoVector, PotentialField, TwoForm, norm_sp_batch
 
@@ -606,12 +607,6 @@ def evaluate_potential(f: MagneticField, x) -> CoVector:
 def evaluate_field(f: MagneticField, x, domain=None, step=None) -> TwoForm:
     """Field two-form at a point: closed form where printed, else d(potential)."""
     return f.field(x, domain=domain, step=step)
-
-
-def _reject_unknown(obj, known, what):
-    unknown = set(obj) - known
-    if unknown:
-        raise ValidationError(f"unknown keys for {what}: {sorted(unknown)}")
 
 
 def field_from_json(obj) -> MagneticField:

@@ -213,3 +213,161 @@ def test_unknown_task(tmp_path):
     spec = {"schema": 1, "task": "no-such-task", "params": {}, "output": "x"}
     rc, _ = run(tmp_path, spec)
     assert rc == 2
+
+
+def _spec(task, params=None, **entries):
+    return {"schema": 1, "task": task, "params": params or {}, "output": "x", **entries}
+
+
+# One single-fault spec per validation rule, with the exact stderr line.
+MESSAGES = [
+    ("int-type", _spec("spherical-table", {"m": 1.5, "k_max": 5}),
+     "parameter 'm' must be an integer, got 1.5"),
+    ("float-type", _spec("landau-check", {"b": "1"}), "parameter 'b' must be a number, got '1'"),
+    ("bool-type", _spec("sweep-alpha", {"alphas": [0.5], "bisect": 1}),
+     "parameter 'bisect' must be true or false, got 1"),
+    ("choice", _spec("classify-radial", {"problem": "disk_mode", "alpha": 0.5, "method": "guess"}),
+     "parameter 'method' must be one of ['indicial', 'solve'], got 'guess'"),
+    ("choice-missing", _spec("classify-radial", {"alpha": 0.5}),
+     "parameter 'problem' must be one of ['disk_mode', 'monopole'], got None"),
+    ("choice-set",
+     _spec("eig", {"h": 0.1, "quadrature": "simpson"}, field=UNIT_FIELD, domain=DISK),
+     "parameter 'quadrature' must be one of ['gauss3', 'midpoint'], got 'simpson'"),
+    ("gt-float",
+     _spec("landau-check", {"h": 0}), "parameter 'h' must be greater than 0.0, got 0.0"),
+    ("gt-bound", _spec("hur-probe", {"h_divisor": 2}, field=UNIT_FIELD, domain=DISK),
+     "parameter 'h_divisor' must be greater than 2.0, got 2.0"),
+    ("ge-float", _spec("eig", {"h": 0.1, "delta": -1}, field=UNIT_FIELD, domain=DISK),
+     "parameter 'delta' must be at least 0.0, got -1.0"),
+    ("ge-int", _spec("scan-criterion", {"anchors": 0}, field=UNIT_FIELD, domain=DISK),
+     "parameter 'anchors' must be at least 1, got 0"),
+    ("nonzero", _spec("classify-radial", {"problem": "monopole", "charge": 0}),
+     "parameter 'charge' must be nonzero"),
+    ("list-empty", _spec("scan-criterion", {"depths": []}, field=UNIT_FIELD, domain=DISK),
+     "parameter 'depths' must be a nonempty list of numbers"),
+    ("list-scalar", _spec("direction-scan", {"depths": 0.1}, field=UNIT_FIELD, domain=DISK),
+     "parameter 'depths' must be a nonempty list of numbers"),
+    ("int-list-empty", _spec("monopole-verdict", {"charges": []}),
+     "parameter 'charges' must be a nonempty list of integers"),
+    ("list-entry-type",
+     _spec("scan-criterion", {"depths": [0.1, "a"]}, field=UNIT_FIELD, domain=DISK),
+     "parameter 'depths' holds a non-number 'a'"),
+    ("int-list-entry-type", _spec("monopole-verdict", {"charges": [1, 2.5]}),
+     "parameter 'charges' holds a non-integer 2.5"),
+    ("list-length",
+     _spec("landau-check", {"window": [0.9]}), "parameter 'window' must have exactly 2 entries"),
+    ("list-entry-gt", _spec("scan-criterion", {"depths": [0.1, 0]}, field=UNIT_FIELD, domain=DISK),
+     "entries of 'depths' must be greater than 0.0, got 0.0"),
+    ("int-list-entry-nonzero",
+     _spec("monopole-verdict", {"charges": [1, 0]}), "entries of 'charges' must be nonzero"),
+    ("list-decreasing", _spec("hur-probe", {"deltas": [0.05, 0.1]}, field=UNIT_FIELD, domain=DISK),
+     "parameter 'deltas' must be strictly decreasing"),
+    ("required",
+     _spec("eig", {"k": 2}, field=UNIT_FIELD, domain=DISK), "task 'eig' needs parameter 'h'"),
+    ("required-by-choice", _spec("classify-radial", {"problem": "monopole"}),
+     "task 'classify-radial' needs parameter 'charge'"),
+    ("unknown-params", _spec("spherical-table", {"m": 1, "k_max": 5, "zz": 1, "bogus": 3}),
+     "unknown parameter(s) for task 'spherical-table': 'bogus', 'zz'"),
+    ("missing-field",
+     _spec("scan-criterion", {"anchors": 4}), "task 'scan-criterion' needs a 'field' entry"),
+    ("missing-domain",
+     _spec("eig", {"h": 0.1}, field=UNIT_FIELD), "task 'eig' needs a 'domain' entry"),
+    ("eig-truncation", _spec("eig", {"h": 0.1, "delta": 0.1}, field=UNIT_FIELD, domain=DISK),
+     "truncated grids need h < delta/2"),
+    ("lemma-slack-truncation",
+     _spec("lemma-slack", {"h": 0.1, "delta": 0.2}, field=UNIT_FIELD, domain=DISK),
+     "truncated grids need h < delta/2"),
+    ("eps-below-one", _spec("hur-probe", {"eps": 1.0}, field=UNIT_FIELD, domain=DISK),
+     "parameter 'eps' must lie in (0, 1)"),
+    ("alphas-or-range",
+     _spec("sweep-alpha", {"mode": 1}), "sweep-alpha needs either 'alphas' or 'range' + 'step'"),
+    ("alphas-and-range", _spec("sweep-alpha", {"alphas": [0.5], "range": [0.3, 0.6], "step": 0.1}),
+     "give either 'alphas' or 'range', not both"),
+    ("range-step", _spec("sweep-alpha", {"range": [0.3, 0.6]}), "'range' needs a 'step'"),
+    ("range-order", _spec("sweep-alpha", {"range": [0.6, 0.3], "step": 0.1}),
+     "'range' must be [lo, hi] with lo < hi"),
+    ("k-max-parity", _spec("spherical-table", {"m": 1, "k_max": 4}),
+     "'k_max' must be >= |m| and of the same parity"),
+    ("window-order",
+     _spec("landau-check", {"window": [1.1, 0.9]}), "'window' must be [lo, hi] with lo < hi"),
+]
+
+
+def assert_rejected(tmp_path, capsys, spec, message):
+    rc, outdir = run(tmp_path, spec)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("spec,message", [m[1:] for m in MESSAGES],
+                         ids=[m[0] for m in MESSAGES])
+def test_validation_messages(tmp_path, capsys, spec, message):
+    assert_rejected(tmp_path, capsys, spec, message)
+
+
+# Specs that used to crash a runner or the choice lookup.
+FORMER_CRASHES = [
+    ("list-for-choice", _spec("sweep-alpha", {"alphas": [0.5], "method": ["solve"]}),
+     "parameter 'method' must be one of ['indicial', 'solve'], got ['solve']"),
+    ("null-for-default", _spec("landau-check", {"h": None}),
+     "parameter 'h' must be a number, got None"),
+    ("null-for-required", _spec("eig", {"h": None}, field=UNIT_FIELD, domain=DISK),
+     "parameter 'h' must be a number, got None"),
+    ("field-domain-dims", _spec("eig", {"h": 0.3}, field=UNIT_FIELD, domain={"kind": "ball3d"}),
+     "field is 2-dimensional but the domain is 3-dimensional"),
+]
+
+
+@pytest.mark.parametrize("spec,message", [m[1:] for m in FORMER_CRASHES],
+                         ids=[m[0] for m in FORMER_CRASHES])
+def test_bad_values_rejected_before_running(tmp_path, capsys, spec, message):
+    assert_rejected(tmp_path, capsys, spec, message)
+
+
+MALFORMED = {
+    "monopole-no-charge": ("field", {"kind": "monopole"}),
+    "constant-no-two-form": ("field", {"kind": "constant"}),
+    "two-form-string": ("field", {"kind": "constant", "two_form": "abc"}),
+    "annulus-no-r-out": ("domain", {"kind": "annulus2d", "r_in": 0.5}),
+    "disk-radius-string": ("domain", {"kind": "disk2d", "radius": "x"}),
+    "polytope-functionals-int": ("domain", {"kind": "polytope", "functionals": 3}),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("key,entry", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_field_or_domain_json(tmp_path, capsys, command, key, entry):
+    spec = _spec("eig", {"h": 0.1}, **{"field": UNIT_FIELD, "domain": DISK, key: entry})
+    argv = [command, write_spec(tmp_path, spec)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed {key!r} entry (")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_rejected(tmp_path, capsys):
+    spec = _spec("scan-criterion", {"anchors": 4}, field={"kind": "disk_counterexample",
+                                                          "alpha": 0.5})
+    rc, outdir = run(tmp_path, spec, "--seed", "-3")
+    assert rc == 2
+    assert capsys.readouterr().err == "error: '--seed' must be a nonnegative integer\n"
+    assert not outdir.exists()
+
+
+def test_cli_import_stays_stdlib_only():
+    import subprocess
+    import sys
+
+    import confinement_lab
+
+    src = os.path.dirname(os.path.dirname(confinement_lab.__file__))
+    code = ("import sys, confinement_lab.cli; "
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
