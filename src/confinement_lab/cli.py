@@ -831,6 +831,11 @@ def _load_thresholds(arg):
             raise SpecError(
                 f"unknown threshold key(s) for {name!r}: {', '.join(sorted(unknown))}"
             )
+        for key, val in vals.items():
+            kind = type(merged[name][key])
+            if not (isinstance(val, kind) if kind in (bool, str) else _of_type(kind, val)):
+                noun = {bool: "true or false", str: "a string"}.get(kind) or _NOUNS[kind][0]
+                raise SpecError(f"threshold {key!r} for {name!r} must be {noun}, got {val!r}")
         merged[name].update(vals)
     return merged
 

@@ -10,11 +10,62 @@ boundary is the deleted point).
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .errors import DomainError, RangeError, ValidationError
+from .exterior import TwoForm
+
+
+class JsonKind:
+    """A class whose JSON format is declared once, for both directions.
+
+    ``kind`` names the class in JSON; ``json_keys`` are its constructor
+    keywords, stored under attributes of the same names; ``label`` names it
+    in unknown-key errors where that differs from ``kind``.
+    """
+
+    kind: str
+    json_keys = ()
+    label = None
+
+    def to_json(self):
+        return {"kind": self.kind, **{k: _encode(getattr(self, k)) for k in self.json_keys}}
+
+
+def _encode(value):
+    if isinstance(value, TwoForm):
+        value = value.entries
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(obj, classes, what, decoders):
+    """Build the class of ``classes`` that obj["kind"] names from obj's keys,
+    each passed through ``decoders[key]`` when present; constructor defaults
+    fill the keys obj leaves out."""
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ValidationError(f"{what} JSON must be an object with a 'kind' key")
+    # compared, not hashed: a JSON list as the kind is an unknown kind, not a TypeError
+    cls = next((c for c in classes if c.kind == obj["kind"]), None)
+    if cls is None:
+        raise ValidationError(f"unknown {what} kind {obj['kind']!r}")
+    _reject_unknown(obj, {"kind", *cls.json_keys}, cls.label or cls.kind)
+    return cls(**{k: decoders[k](obj[k]) if k in decoders else obj[k]
+                  for k in cls.json_keys if k in obj})
+
+
+def _reject_unknown(params, known, kind):
+    unknown = set(params) - known
+    if unknown:
+        raise ValidationError(f"unknown keys for {kind}: {sorted(unknown)}")
 
 
 @dataclass
@@ -33,7 +84,7 @@ class Ray:
     points: np.ndarray  # shape (len(depths), d)
 
 
-class Domain(ABC):
+class Domain(JsonKind, ABC):
     """Open connected region with exact boundary distance."""
 
     dim: int
@@ -57,10 +108,6 @@ class Domain(ABC):
     @abstractmethod
     def _anchors(self, n, rng):
         """n boundary anchors with inward unit normals: (anchors, inwards)."""
-
-    @abstractmethod
-    def to_json(self) -> dict:
-        pass
 
     def distance(self, x):
         """Distance to the boundary.  Raises DomainError off the interior."""
@@ -148,6 +195,8 @@ def _fibonacci_sphere(n):
 
 
 class Disk2D(Domain):
+    kind = "disk2d"
+    json_keys = ("radius",)
     dim = 2
 
     def __init__(self, radius=1.0):
@@ -173,11 +222,10 @@ class Disk2D(Domain):
         anchors = _circle_points(n, self.radius)
         return anchors, -anchors / self.radius
 
-    def to_json(self):
-        return {"kind": "disk2d", "radius": self.radius}
-
 
 class Ball3D(Domain):
+    kind = "ball3d"
+    json_keys = ("radius",)
     dim = 3
 
     def __init__(self, radius=1.0):
@@ -202,11 +250,10 @@ class Ball3D(Domain):
         dirs = _fibonacci_sphere(n)
         return self.radius * dirs, -dirs
 
-    def to_json(self):
-        return {"kind": "ball3d", "radius": self.radius}
-
 
 class Annulus2D(Domain):
+    kind = "annulus2d"
+    json_keys = ("r_in", "r_out")
     dim = 2
 
     def __init__(self, r_in, r_out):
@@ -243,14 +290,13 @@ class Annulus2D(Domain):
         inwards = np.concatenate([p[1] for p in pieces])
         return anchors, inwards
 
-    def to_json(self):
-        return {"kind": "annulus2d", "r_in": self.r_in, "r_out": self.r_out}
-
 
 class SolidTorus3D(Domain):
     """Solid torus: distance a - sqrt((rho - R)^2 + z^2) to the boundary,
     measured from the center circle of major radius R in the xy-plane."""
 
+    kind = "solid_torus3d"
+    json_keys = ("major_radius", "minor_radius")
     dim = 3
 
     def __init__(self, major_radius, minor_radius):
@@ -299,13 +345,6 @@ class SolidTorus3D(Domain):
                     return np.array(anchors), np.array(inwards)
         return np.array(anchors), np.array(inwards)
 
-    def to_json(self):
-        return {
-            "kind": "solid_torus3d",
-            "major_radius": self.major_radius,
-            "minor_radius": self.minor_radius,
-        }
-
 
 @dataclass
 class AffineFunctional:
@@ -336,6 +375,9 @@ class Polytope(Domain):
     The boundary distance is min_i |L_i(x)|, exact because the functionals are
     unit-normalized and the region is convex.
     """
+
+    kind = "polytope"
+    json_keys = ("functionals",)
 
     def __init__(self, functionals):
         if len(functionals) < 2:
@@ -381,7 +423,12 @@ class Polytope(Domain):
         return self._chebyshev[0].copy()
 
     def bounding_box(self):
-        # Bound each coordinate by two LPs.
+        lo, hi = self._box
+        return lo.copy(), hi.copy()
+
+    @cached_property
+    def _box(self):
+        # Bound each coordinate by two LPs, once: rejection sampling asks on every draw.
         d = self.dim
         lo, hi = np.empty(d), np.empty(d)
         for i in range(d):
@@ -436,12 +483,12 @@ class Polytope(Domain):
                 try_add(y, i)
         return np.array(anchors), np.array(inwards)
 
-    def to_json(self):
-        return {"kind": "polytope", "functionals": [f.to_json() for f in self.functionals]}
-
 
 class PuncturedSpace(Domain):
     """R^d with the origin removed; the boundary is the deleted point, D(x) = |x|."""
+
+    kind = "punctured_space"
+    json_keys = ("dim",)
 
     def __init__(self, dim=3):
         if dim < 2:
@@ -492,9 +539,6 @@ class PuncturedSpace(Domain):
             r = np.linalg.norm(pts, axis=-1)
             bad = r < lo
         return pts
-
-    def to_json(self):
-        return {"kind": "punctured_space", "dim": self.dim}
 
 
 def axis_box(lo, hi):
@@ -557,35 +601,6 @@ def lipschitz_check(dom: Domain, n_pairs=2000, seed=0):
 
 def domain_from_json(obj) -> Domain:
     """Rebuild a domain from its JSON dict; rejects unknown kinds and keys."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValidationError("domain JSON must be an object with a 'kind' key")
-    kind = obj["kind"]
-    extra = dict(obj)
-    extra.pop("kind")
-    if kind == "disk2d":
-        known = {"radius"}
-        _reject_unknown(extra, known, "disk2d")
-        return Disk2D(radius=extra.get("radius", 1.0))
-    if kind == "annulus2d":
-        _reject_unknown(extra, {"r_in", "r_out"}, "annulus2d")
-        return Annulus2D(r_in=extra["r_in"], r_out=extra["r_out"])
-    if kind == "ball3d":
-        _reject_unknown(extra, {"radius"}, "ball3d")
-        return Ball3D(radius=extra.get("radius", 1.0))
-    if kind == "solid_torus3d":
-        _reject_unknown(extra, {"major_radius", "minor_radius"}, "solid_torus3d")
-        return SolidTorus3D(major_radius=extra["major_radius"], minor_radius=extra["minor_radius"])
-    if kind == "polytope":
-        _reject_unknown(extra, {"functionals"}, "polytope")
-        fns = [AffineFunctional(normal=f["normal"], offset=f["offset"]) for f in extra["functionals"]]
-        return Polytope(fns)
-    if kind == "punctured_space":
-        _reject_unknown(extra, {"dim"}, "punctured_space")
-        return PuncturedSpace(dim=extra.get("dim", 3))
-    raise ValidationError(f"unknown domain kind {kind!r}")
-
-
-def _reject_unknown(params, known, kind):
-    unknown = set(params) - known
-    if unknown:
-        raise ValidationError(f"unknown keys for {kind}: {sorted(unknown)}")
+    functionals = lambda fs: [AffineFunctional(normal=f["normal"], offset=f["offset"]) for f in fs]
+    return _decode(obj, (Disk2D, Annulus2D, Ball3D, SolidTorus3D, Polytope, PuncturedSpace),
+                   "domain", {"functionals": functionals})

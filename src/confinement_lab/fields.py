@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import exterior
-from .domains import (Ball3D, Disk2D, Polytope, PuncturedSpace, SolidTorus3D, _reject_unknown,
+from .domains import (Ball3D, Disk2D, JsonKind, Polytope, PuncturedSpace, SolidTorus3D, _decode,
                       domain_from_json)
 from .errors import ChartRankError, DomainError, SingularityError, ValidationError
 from .exterior import CoVector, PotentialField, TwoForm, norm_sp_batch
@@ -100,10 +100,11 @@ class Polynomial:
 # reference one-forms used by the toroidal / non-toroidal constructions
 
 
-class AzimuthalOneForm:
+class AzimuthalOneForm(JsonKind):
     """(-y dx + x dy) / (x^2 + y^2): the angle form around the z-axis."""
 
     kind = "azimuthal"
+    label = "azimuthal one-form"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -115,14 +116,13 @@ class AzimuthalOneForm:
         out[..., 1] = x[..., 0] / rho2
         return out
 
-    def to_json(self):
-        return {"kind": self.kind}
 
-
-class RotationOneForm:
+class RotationOneForm(JsonKind):
     """scale * (x dy - y dx): smooth everywhere, pullback to spheres vanishes at the poles."""
 
     kind = "rotation_z"
+    json_keys = ("scale",)
+    label = "rotation_z one-form"
 
     def __init__(self, scale=1.0):
         self.scale = float(scale)
@@ -134,28 +134,17 @@ class RotationOneForm:
         out[..., 1] = self.scale * x[..., 0]
         return out
 
-    def to_json(self):
-        return {"kind": self.kind, "scale": self.scale}
-
 
 def one_form_from_json(obj):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValidationError("one-form JSON must carry a 'kind'")
-    kind = obj["kind"]
-    if kind == "azimuthal":
-        _reject_unknown(obj, {"kind"}, "azimuthal one-form")
-        return AzimuthalOneForm()
-    if kind == "rotation_z":
-        _reject_unknown(obj, {"kind", "scale"}, "rotation_z one-form")
-        return RotationOneForm(scale=obj.get("scale", 1.0))
-    raise ValidationError(f"unknown one-form kind {kind!r}")
+    """Rebuild a reference one-form from its JSON dict (unknown kinds/keys rejected)."""
+    return _decode(obj, (AzimuthalOneForm, RotationOneForm), "one-form", {})
 
 
 # ---------------------------------------------------------------------------
 # field catalog
 
 
-class MagneticField:
+class MagneticField(JsonKind):
     """Base class: a potential with an optional closed-form two-form."""
 
     kind = "abstract"
@@ -205,14 +194,13 @@ class MagneticField:
         out = norm_sp_batch(self.field_matrix_batch(x, domain=domain))
         return float(out) if np.ndim(out) == 0 else out
 
-    def to_json(self):
-        raise NotImplementedError
-
 
 class ConstantField(MagneticField):
     """Constant two-form B0 with the linear gauge a(x) = (1/2) B0^T x."""
 
     kind = "constant"
+    json_keys = ("two_form",)
+    label = "constant field"
 
     def __init__(self, two_form, domain=None):
         b = two_form if isinstance(two_form, TwoForm) else TwoForm(two_form)
@@ -228,9 +216,6 @@ class ConstantField(MagneticField):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(self.two_form.entries, x.shape[:-1] + (self.dim, self.dim)).copy()
 
-    def to_json(self):
-        return {"kind": "constant", "two_form": self.two_form.entries.tolist()}
-
 
 class PolytopeField(MagneticField):
     """Blow-up field on a convex polytope: a_2(x) = -sum_i 1/(n_i1 L_i(x)).
@@ -241,6 +226,8 @@ class PolytopeField(MagneticField):
     """
 
     kind = "polytope_field"
+    json_keys = ("domain",)
+    label = "polytope field"
 
     def __init__(self, domain: Polytope):
         if not isinstance(domain, Polytope):
@@ -268,14 +255,13 @@ class PolytopeField(MagneticField):
         vals = self.domain.values(x)
         return np.sum(1.0 / vals**2, axis=-1)
 
-    def to_json(self):
-        return {"kind": "polytope_field", "domain": self.domain.to_json()}
-
 
 class ToroidalField(MagneticField):
     """A = A0 / D^alpha near the boundary of a tubular domain (alpha >= 1)."""
 
     kind = "toroidal"
+    json_keys = ("alpha", "domain", "base_one_form")
+    label = "toroidal field"
 
     def __init__(self, alpha, domain, base_one_form=None):
         if alpha < 1.0:
@@ -292,19 +278,13 @@ class ToroidalField(MagneticField):
         dist = self.domain._distance_raw(x)
         return self.base_one_form(x) / dist[..., None] ** self.alpha
 
-    def to_json(self):
-        return {
-            "kind": "toroidal",
-            "alpha": self.alpha,
-            "domain": self.domain.to_json(),
-            "base_one_form": self.base_one_form.to_json(),
-        }
-
 
 class NonToroidalField(MagneticField):
     """A = A0 / D^2 on a ball; A0 smooth, its boundary pullback has zeros."""
 
     kind = "nontoroidal"
+    json_keys = ("domain", "base_one_form")
+    label = "non-toroidal field"
 
     def __init__(self, domain: Ball3D, base_one_form=None):
         if not isinstance(domain, Ball3D):
@@ -320,13 +300,6 @@ class NonToroidalField(MagneticField):
         dist = self.domain._distance_raw(x)
         return self.base_one_form(x) / dist[..., None] ** 2
 
-    def to_json(self):
-        return {
-            "kind": "nontoroidal",
-            "domain": self.domain.to_json(),
-            "base_one_form": self.base_one_form.to_json(),
-        }
-
 
 class DiskCounterexampleField(MagneticField):
     """A = alpha (x dy - y dx)/(r - 1) on the unit disk, 0 < alpha < sqrt(3)/2.
@@ -336,6 +309,8 @@ class DiskCounterexampleField(MagneticField):
     """
 
     kind = "disk_counterexample"
+    json_keys = ("alpha",)
+    label = "disk counterexample"
 
     def __init__(self, alpha):
         if not (0.0 < alpha < SQRT3_OVER_2):
@@ -373,14 +348,12 @@ class DiskCounterexampleField(MagneticField):
         """|B| D^2 at radius r: alpha (2 - r)."""
         return self.alpha * (2.0 - np.asarray(r, dtype=float))
 
-    def to_json(self):
-        return {"kind": "disk_counterexample", "alpha": self.alpha}
-
 
 class MonopoleField(MagneticField):
     """Charge-m monopole on punctured 3-space; |B|_sp = (|m|/2) / |x|^2."""
 
     kind = "monopole"
+    json_keys = ("charge",)
 
     def __init__(self, charge):
         if not isinstance(charge, (int, np.integer)) or isinstance(charge, bool):
@@ -433,9 +406,6 @@ class MonopoleField(MagneticField):
         """Total flux through any origin-centered sphere: 2 pi m exactly."""
         return 2.0 * math.pi * self.charge
 
-    def to_json(self):
-        return {"kind": "monopole", "charge": self.charge}
-
 
 class DipoleField(MagneticField):
     """Derivative of the charge-2 monopole along a unit direction V.
@@ -446,8 +416,9 @@ class DipoleField(MagneticField):
     """
 
     kind = "dipole"
+    json_keys = ("direction",)
 
-    def __init__(self, direction=(0.0, 0.0, 1.0)):
+    def __init__(self, direction):
         v = np.asarray(direction, dtype=float).reshape(3)
         nv = np.linalg.norm(v)
         if nv < 1e-12:
@@ -484,9 +455,6 @@ class DipoleField(MagneticField):
         mats[..., 1, 0] = -v[..., 2]
         return mats
 
-    def to_json(self):
-        return {"kind": "dipole", "direction": self.direction.tolist()}
-
 
 def multipole_field(directions, x, rel_step=1e-2):
     """Degree-n multipole two-form by nested center-parameter differences.
@@ -519,6 +487,7 @@ class MultipoleField(MagneticField):
     degree 1 matches the dipole closed form to O(h^2)."""
 
     kind = "multipole"
+    json_keys = ("directions",)
 
     def __init__(self, directions):
         self.directions = [np.asarray(v, float).reshape(3) / np.linalg.norm(v) for v in directions]
@@ -560,14 +529,13 @@ class MultipoleField(MagneticField):
             mats[i] = multipole_field(self.directions, pt).entries
         return mats[0] if squeeze else mats.reshape(x.shape[:-1] + (3, 3))
 
-    def to_json(self):
-        return {"kind": "multipole", "directions": [v.tolist() for v in self.directions]}
-
 
 class GaugeShiftField(MagneticField):
     """base potential plus the exact gradient of a polynomial: same field."""
 
     kind = "gauge_shift"
+    json_keys = ("base", "polynomial")
+    label = "gauge shift"
 
     def __init__(self, base: MagneticField, polynomial: Polynomial):
         if polynomial.dim != base.dim:
@@ -587,13 +555,6 @@ class GaugeShiftField(MagneticField):
     def _closed_field(self, x):
         return self.base._closed_field(x)
 
-    def to_json(self):
-        return {
-            "kind": "gauge_shift",
-            "base": self.base.to_json(),
-            "polynomial": self.polynomial.to_json(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # module-level operations (spec interface)
@@ -611,42 +572,14 @@ def evaluate_field(f: MagneticField, x, domain=None, step=None) -> TwoForm:
 
 def field_from_json(obj) -> MagneticField:
     """Rebuild a catalog field from its JSON dict (unknown kinds/keys rejected)."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValidationError("field JSON must be an object with a 'kind' key")
-    kind = obj["kind"]
-    if kind == "constant":
-        _reject_unknown(obj, {"kind", "two_form"}, "constant field")
-        return ConstantField(np.asarray(obj["two_form"], dtype=float))
-    if kind == "polytope_field":
-        _reject_unknown(obj, {"kind", "domain"}, "polytope field")
-        dom = domain_from_json(obj["domain"])
-        return PolytopeField(dom)
-    if kind == "toroidal":
-        _reject_unknown(obj, {"kind", "alpha", "domain", "base_one_form"}, "toroidal field")
-        dom = domain_from_json(obj["domain"])
-        a0 = one_form_from_json(obj["base_one_form"]) if "base_one_form" in obj else None
-        return ToroidalField(obj["alpha"], dom, base_one_form=a0)
-    if kind == "nontoroidal":
-        _reject_unknown(obj, {"kind", "domain", "base_one_form"}, "non-toroidal field")
-        dom = domain_from_json(obj["domain"])
-        a0 = one_form_from_json(obj["base_one_form"]) if "base_one_form" in obj else None
-        return NonToroidalField(dom, base_one_form=a0)
-    if kind == "disk_counterexample":
-        _reject_unknown(obj, {"kind", "alpha"}, "disk counterexample")
-        return DiskCounterexampleField(obj["alpha"])
-    if kind == "monopole":
-        _reject_unknown(obj, {"kind", "charge"}, "monopole")
-        return MonopoleField(obj["charge"])
-    if kind == "dipole":
-        _reject_unknown(obj, {"kind", "direction"}, "dipole")
-        return DipoleField(obj["direction"])
-    if kind == "multipole":
-        _reject_unknown(obj, {"kind", "directions"}, "multipole")
-        return MultipoleField(obj["directions"])
-    if kind == "gauge_shift":
-        _reject_unknown(obj, {"kind", "base", "polynomial"}, "gauge shift")
-        return GaugeShiftField(field_from_json(obj["base"]), Polynomial.from_json(obj["polynomial"]))
-    raise ValidationError(f"unknown field kind {kind!r}")
+    return _decode(
+        obj,
+        (ConstantField, PolytopeField, ToroidalField, NonToroidalField, DiskCounterexampleField,
+         MonopoleField, DipoleField, MultipoleField, GaugeShiftField),
+        "field",
+        {"domain": domain_from_json, "base_one_form": one_form_from_json,
+         "base": field_from_json, "polynomial": Polynomial.from_json},
+    )
 
 
 # ---------------------------------------------------------------------------

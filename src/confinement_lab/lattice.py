@@ -412,9 +412,16 @@ class FormTestConfig:
     calibration: dict
 
 
+def _site_fields(op, field):
+    return field.field_matrix_batch(op.grid.sites, domain=op.grid.domain)
+
+
 def paired_component_expectation(op: LatticeOperator, field, u):
     """sum_j |<b_{2j-1,2j} u, u>| over the floor(d/2) coordinate planes."""
-    mats = field.field_matrix_batch(op.grid.sites, domain=op.grid.domain)
+    return _paired(op, _site_fields(op, field), u)
+
+
+def _paired(op, mats, u):
     u2 = np.abs(np.asarray(u)) ** 2
     total = 0.0
     scale = op.grid.h**op.grid.dim
@@ -426,7 +433,10 @@ def paired_component_expectation(op: LatticeOperator, field, u):
 
 def weighted_norm_sq(op: LatticeOperator, field, u):
     """h^d sum (1 + |B|_sp^2) |u|^2: the norm the error term is measured in."""
-    norms = norm_sp_batch(field.field_matrix_batch(op.grid.sites, domain=op.grid.domain))
+    return _weighted(op, norm_sp_batch(_site_fields(op, field)), u)
+
+
+def _weighted(op, norms, u):
     u2 = np.abs(np.asarray(u)) ** 2
     return float(op.grid.h**op.grid.dim * np.sum((1.0 + norms**2) * u2))
 
@@ -464,11 +474,13 @@ def calibrate_form_constant(dom, h, field_builder, strengths=(1.0, 3.0),
     for b in strengths:
         field = field_builder(b)
         op = assemble(field, dom, h)
+        mats = _site_fields(op, field)
+        norms = norm_sp_batch(mats)
         rate = 0.0
         for name, u in _trial_vectors(op, n_random, seed, n_eigenvectors):
-            deficit = paired_component_expectation(op, field, u) - op.quadratic_form(u)
+            deficit = _paired(op, mats, u) - op.quadratic_form(u)
             if deficit > 0:
-                rate = max(rate, deficit / (h * weighted_norm_sq(op, field, u)))
+                rate = max(rate, deficit / (h * _weighted(op, norms, u)))
         records[b] = rate
         worst = max(worst, rate)
     return FormTestConfig(K=2.0 * worst, calibration={"h": h, "rates": records})
@@ -478,16 +490,19 @@ def commutator_bound_test(field, dom, h, K, delta=0.0, n_random=4, seed=5,
                           n_eigenvectors=2):
     """Slack rows for random and low-energy trial vectors at one spacing."""
     op = assemble(field, dom, h, delta=delta)
+    mats = _site_fields(op, field)
+    norms = norm_sp_batch(mats)
     rows = []
     for name, u in _trial_vectors(op, n_random, seed, n_eigenvectors):
+        form, paired, weighted = op.quadratic_form(u), _paired(op, mats, u), _weighted(op, norms, u)
         rows.append(
             {
                 "trial": name,
                 "h": h,
-                "slack": form_bound_slack(op, field, u, K),
-                "form": op.quadratic_form(u),
-                "paired": paired_component_expectation(op, field, u),
-                "weighted_norm_sq": weighted_norm_sq(op, field, u),
+                "slack": form + K * op.grid.h * weighted - paired,  # as form_bound_slack
+                "form": form,
+                "paired": paired,
+                "weighted_norm_sq": weighted,
             }
         )
     return rows

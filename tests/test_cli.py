@@ -198,6 +198,22 @@ def test_reproduce_threshold_validation(capsys):
     assert "bogus-check" in err
 
 
+@pytest.mark.parametrize("override,message", [
+    ('{"landau-window": {"lo": "x"}}', "threshold 'lo' for 'landau-window' must be a number, got 'x'"),
+    ('{"landau-window": {"hi": true}}', "threshold 'hi' for 'landau-window' must be a number, got True"),
+    ('{"spherical-ground": {"k": "1"}}', "threshold 'k' for 'spherical-ground' must be an integer, got '1'"),
+    ('{"spherical-ground": {"k": 1.0}}', "threshold 'k' for 'spherical-ground' must be an integer, got 1.0"),
+    ('{"monopole-esa": {"esa_m1": 0}}', "threshold 'esa_m1' for 'monopole-esa' must be true or false, got 0"),
+    ('{"toroidal-direction": {"verdict": null}}',
+     "threshold 'verdict' for 'toroidal-direction' must be a string, got None"),
+])
+def test_reproduce_threshold_types(capsys, override, message):
+    assert main(["reproduce", "--thresholds", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_schema_version_enforced(tmp_path):
     spec = {
         "schema": 2,

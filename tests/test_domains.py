@@ -173,6 +173,22 @@ class TestPolytope:
         assert box.distance([0.5, 0.0, 0.0, 0.0]) == pytest.approx(0.5)
 
 
+def test_polytope_scan_solves_its_bounding_box_once(monkeypatch):
+    from confinement_lab import domains
+
+    sq = rotated_unit_square()
+    lo, hi = sq.bounding_box()
+    calls = []
+    solve = domains.linprog
+    monkeypatch.setattr(domains, "linprog", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    sq = rotated_unit_square()
+    rays = sq.near_boundary_rays(64, [0.05, 0.1], rng=np.random.default_rng(13))
+    assert len(rays) == 64
+    # one Chebyshev solve at construction, then two LPs per coordinate
+    assert len(calls) == 1 + 2 * sq.dim
+    assert all(np.array_equal(a, b) for a, b in zip(sq.bounding_box(), (lo, hi)))
+
+
 class TestJson:
     @pytest.mark.parametrize("dom", ALL_DOMAINS, ids=lambda d: type(d).__name__)
     def test_roundtrip(self, dom):

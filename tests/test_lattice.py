@@ -35,6 +35,7 @@ from confinement_lab.lattice import (
     plaquette_phases,
     weighted_norm_sq,
 )
+from confinement_lab.lattice import _trial_vectors
 
 J01_SQ = 5.783185962946785   # squared first zero of J0: disk Dirichlet ground value
 LANDAU_SIDE10 = 0.9922212013325
@@ -323,6 +324,27 @@ def test_calibrated_constant_and_slack_nonnegative():
         rows = commutator_bound_test(fld, dom, h, K=cfg.K, delta=delta,
                                      n_random=5)
         assert all(r["slack"] >= 0.0 for r in rows)
+
+
+def test_lemma_slack_evaluates_the_field_once_per_operator(monkeypatch):
+    sq = rotated_unit_square()
+    fld = PolytopeField(sq)
+    calls = []
+    evaluate = PolytopeField.field_matrix_batch
+    monkeypatch.setattr(PolytopeField, "field_matrix_batch",
+                        lambda *a, **kw: calls.append(1) or evaluate(*a, **kw))
+    rows = commutator_bound_test(fld, sq, 0.05, K=0.09, n_random=3)
+    assert len(calls) == 1
+    calls.clear()
+    calibrate_form_constant(sq, 0.1, lambda b: PolytopeField(sq), strengths=(1.0, 2.0))
+    assert len(calls) == 2
+    # The rows are bit-identical to the ones the public helpers build.
+    op = assemble(fld, sq, 0.05)
+    expected = [{"trial": name, "h": 0.05, "slack": form_bound_slack(op, fld, u, 0.09),
+                 "form": op.quadratic_form(u), "paired": paired_component_expectation(op, fld, u),
+                 "weighted_norm_sq": weighted_norm_sq(op, fld, u)}
+                for name, u in _trial_vectors(op, 3, 5, 2)]
+    assert rows == expected
 
 
 def test_ground_state_deficit_order():
