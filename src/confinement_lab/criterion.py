@@ -104,13 +104,6 @@ class CriterionReport:
         return buf.getvalue()
 
 
-def _unit_direction(mat):
-    scale = norm_sp_batch(mat)
-    if scale < DIRECTION_FLOOR:
-        return None
-    return mat / scale
-
-
 def _direction_distance(a, b):
     d = a - b
     iu = np.triu_indices(d.shape[0], k=1)
@@ -153,37 +146,53 @@ def direction_regularity(directions_by_anchor, tol=OSCILLATION_TOL,
     return regular, worst, per_anchor
 
 
+def _field_matrices(field, dom, points, start=0):
+    """Field matrices at stacked points (NaN at singular points) and the
+    (index, SingularityError) of each singular point, in order.  A batch that
+    raises is split in halves down to single points, so only the singular
+    points are lost."""
+    try:
+        return np.asarray(field.field_matrix_batch(points, domain=dom), dtype=float), []
+    except SingularityError as err:
+        if len(points) == 1:
+            d = points.shape[-1]
+            return np.full((1, d, d), np.nan), [(start, err)]
+    half = len(points) // 2
+    head, head_bad = _field_matrices(field, dom, points[:half], start)
+    tail, tail_bad = _field_matrices(field, dom, points[half:], start + half)
+    return np.concatenate([head, tail]), head_bad + tail_bad
+
+
 def _collect_samples(field, dom, rays, warnings):
-    samples = []
-    directions_by_anchor = []
-    excluded = 0
-    for idx, ray in enumerate(rays):
-        dirs = []
-        for depth, point in zip(ray.depths, ray.points):
-            try:
-                mat = np.asarray(field.field_matrix_batch(point, domain=dom), dtype=float)
-            except SingularityError as err:
-                warnings.append(
-                    f"anchor {idx} depth {depth:g}: sample excluded ({err})"
-                )
-                excluded += 1
-                continue
-            dist = float(dom.distance(point))
-            nsp = float(norm_sp_batch(mat))
-            samples.append(
-                MarginSample(
-                    anchor=idx,
-                    depth=float(depth),
-                    point=np.asarray(point, dtype=float),
-                    distance=dist,
-                    norm_sp=nsp,
-                    margin=nsp * dist * dist,
-                    direction=_unit_direction(mat),
-                )
-            )
-            dirs.append(samples[-1].direction)
-        directions_by_anchor.append(dirs)
-    return samples, directions_by_anchor, excluded
+    anchors = np.repeat(np.arange(len(rays)), [len(ray.depths) for ray in rays])
+    depths = np.concatenate([ray.depths for ray in rays])
+    points = np.concatenate([ray.points for ray in rays])
+    mats, singular = _field_matrices(field, dom, points)
+    kept = np.ones(len(points), dtype=bool)
+    for i, err in singular:
+        warnings.append(f"anchor {anchors[i]} depth {depths[i]:g}: sample excluded ({err})")
+        kept[i] = False
+    anchors, depths, points, mats = anchors[kept], depths[kept], points[kept], mats[kept]
+    dist = np.asarray(dom.distance(points), dtype=float)
+    nsp = norm_sp_batch(mats)
+    margin = nsp * dist * dist
+    unit = mats / np.where(nsp < DIRECTION_FLOOR, 1.0, nsp)[:, None, None]
+    samples = [
+        MarginSample(
+            anchor=int(anchors[i]),
+            depth=float(depths[i]),
+            point=points[i],
+            distance=float(dist[i]),
+            norm_sp=float(nsp[i]),
+            margin=float(margin[i]),
+            direction=None if nsp[i] < DIRECTION_FLOOR else unit[i],
+        )
+        for i in range(len(points))
+    ]
+    directions_by_anchor = [[] for _ in rays]
+    for s in samples:
+        directions_by_anchor[s.anchor].append(s.direction)
+    return samples, directions_by_anchor, len(singular)
 
 
 def _liminf_estimate(samples):

@@ -617,19 +617,10 @@ class _SphereSurface:
         return np.concatenate([pts.reshape(-1, 3), poles])
 
     def normal(self, p):
-        return p / np.linalg.norm(p)
+        return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
     def project(self, p):
-        return self.radius * p / np.linalg.norm(p)
-
-    def local_chart(self, p0, frame):
-        e1, e2 = frame
-
-        def chart(u):
-            q = p0 + u[0] * e1 + u[1] * e2
-            return self.radius * q / np.linalg.norm(q)
-
-        return chart
+        return self.radius * self.normal(p)
 
 
 class _TorusSurface:
@@ -647,27 +638,18 @@ class _TorusSurface:
         pts = np.stack([rho * np.cos(PHI), rho * np.sin(PHI), self.minor * np.sin(PSI)], axis=-1)
         return pts.reshape(-1, 3)
 
+    def _core_point(self, p):
+        """Nearest point of the core circle to p, shape (..., 3)."""
+        p = np.asarray(p, dtype=float)
+        rho = np.hypot(p[..., 0], p[..., 1])
+        return self.major * np.stack([p[..., 0] / rho, p[..., 1] / rho, np.zeros_like(rho)], -1)
+
     def normal(self, p):
-        rho = math.hypot(p[0], p[1])
-        e_rho = np.array([p[0] / rho, p[1] / rho, 0.0])
-        center = self.major * e_rho
-        v = p - center
-        return v / np.linalg.norm(v)
+        v = p - self._core_point(p)
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
     def project(self, p):
-        rho = math.hypot(p[0], p[1])
-        e_rho = np.array([p[0] / rho, p[1] / rho, 0.0])
-        center = self.major * e_rho
-        v = p - center
-        return center + self.minor * v / np.linalg.norm(v)
-
-    def local_chart(self, p0, frame):
-        e1, e2 = frame
-
-        def chart(u):
-            return self.project(p0 + u[0] * e1 + u[1] * e2)
-
-        return chart
+        return self._core_point(p) + self.minor * self.normal(p)
 
 
 def _tangent_frame(normal, seed_vec=None):
@@ -682,29 +664,34 @@ def _tangent_frame(normal, seed_vec=None):
 
 
 def _tangential_part(a0, surface, p):
-    """Component of the one-form a0 at p tangent to the surface."""
+    """Component of the one-form a0 tangent to the surface at points p, shape (..., 3)."""
     a = np.asarray(a0(p), dtype=float)
     n = surface.normal(p)
-    return a - np.dot(a, n) * n
+    return a - np.sum(a * n, axis=-1, keepdims=True) * n
 
 
 class _ChartGaussNewton:
     """Gauss-Newton model of (1/2)|F(u)|^2 on a boundary chart.
 
     F(u) = (e1.t, e2.t), with t the tangential part of the one-form a0 at
-    chart(u) and (e1, e2) the chart frame.  The gradient is J^T F and the
-    Hessian model J^T J, with J a forward difference; F and J are computed
-    once per point and shared by the objective and the Hessian.
+    chart(u), the surface point nearest p0 + u[0] e1 + u[1] e2, and (e1, e2)
+    the chart frame at p0.  The gradient is J^T F and the Hessian model
+    J^T J, with J a forward difference; F and J are computed once per point
+    and shared by the objective and the Hessian.
     """
 
     step = 1e-7
 
-    def __init__(self, a0, surface, chart, frame):
+    def __init__(self, a0, surface, p0, frame):
         self.a0 = a0
         self.surface = surface
-        self.chart = chart
+        self.p0 = p0
         self.frame = np.array(frame)
         self._u = None
+
+    def chart(self, u):
+        e1, e2 = self.frame
+        return self.surface.project(self.p0 + u[0] * e1 + u[1] * e2)
 
     def residual(self, u):
         return self.frame @ _tangential_part(self.a0, self.surface, self.chart(u))
@@ -765,11 +752,7 @@ def boundary_one_form_analysis(field, resolution=48, retries=3):
     a0 = field.base_one_form
     surface = _surface_for_domain(field.domain)
     pts = surface.grid(resolution)
-
-    def tangential_norm(p):
-        return float(np.linalg.norm(_tangential_part(a0, surface, p)))
-
-    tnorms = np.array([tangential_norm(p) for p in pts])
+    tnorms = np.linalg.norm(_tangential_part(a0, surface, pts), axis=-1)
     scale = max(float(np.max(tnorms)), 1e-30)
     order = np.argsort(tnorms)
     zeros = []
@@ -790,14 +773,13 @@ def boundary_one_form_analysis(field, resolution=48, retries=3):
                 rng = np.random.default_rng(attempt)
                 seed = rng.normal(size=3)
             frame = _tangent_frame(surface.normal(p0), seed_vec=seed)
-            chart = surface.local_chart(p0, frame)
-            gn = _ChartGaussNewton(a0, surface, chart, frame)
+            gn = _ChartGaussNewton(a0, surface, p0, frame)
             res = minimize(
                 gn.objective, np.zeros(2), jac=True, hess=gn.hessian,
                 method="trust-exact", options={"gtol": 1e-16},
             )
-            q = chart(res.x)
-            if tangential_norm(q) <= zero_tol:
+            q = gn.chart(res.x)
+            if np.linalg.norm(_tangential_part(a0, surface, q)) <= zero_tol:
                 refined = q
                 break
         if refined is None:

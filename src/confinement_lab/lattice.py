@@ -313,7 +313,11 @@ def assemble(field, dom, h, delta=0.0, quadrature="midpoint"):
     """
     grid = build_grid(dom, h, delta=delta)
     n, d = grid.n_sites, grid.dim
-    index = {tuple(c): i for i, c in enumerate(grid.coords)}
+    # Site number of every cell of the bounding box padded by one cell, -1 off
+    # the grid: a neighbour lookup is one fancy index per (axis, sign).
+    cells = grid.coords - grid.coords.min(axis=0) + 1
+    table = np.full(tuple(cells.max(axis=0) + 2), -1, dtype=np.int64)
+    table[tuple(cells.T)] = np.arange(n)
     h2 = h * h
 
     rows = [np.arange(n)]
@@ -324,9 +328,8 @@ def assemble(field, dom, h, delta=0.0, quadrature="midpoint"):
     wall_sites = []
     wall_dirs = []
     for axis in range(d):
-        shifted = grid.coords.copy()
-        shifted[:, axis] += 1
-        partner = np.array([index.get(tuple(c), -1) for c in shifted])
+        step = np.eye(d, dtype=cells.dtype)[axis]
+        partner = table[tuple((cells + step).T)]
         mask = partner >= 0
         if np.any(mask):
             starts = grid.sites[mask]
@@ -347,21 +350,14 @@ def assemble(field, dom, h, delta=0.0, quadrature="midpoint"):
             rows.append(j_idx)
             cols.append(i_idx)
             vals.append(-np.conj(phases) / h2)
-        for sign in (1, -1):
-            nb = grid.coords.copy()
-            nb[:, axis] += sign
-            missing = np.array([tuple(c) not in index for c in nb])
-            if np.any(missing):
-                idx = np.nonzero(missing)[0]
-                wall_sites.append(idx)
-                dirs = np.zeros((len(idx), d))
-                dirs[:, axis] = sign
-                wall_dirs.append(dirs)
-    if wall_sites:
-        arm_idx = np.concatenate(wall_sites)
-        arm_dirs = np.concatenate(wall_dirs)
-        theta = _wall_fractions(dom, grid.sites[arm_idx], arm_dirs, h, delta)
-        np.add.at(diag, arm_idx, (1.0 / theta - 1.0) / h2)
+        # Wall arms axis-major, +1 before -1: np.add.at sums a site's wall
+        # terms in this order.
+        for sign, missing in ((1, ~mask), (-1, table[tuple((cells - step).T)] < 0)):
+            wall_sites.append(np.nonzero(missing)[0])
+            wall_dirs.append(np.broadcast_to(sign * step, (len(wall_sites[-1]), d)))
+    arm_idx = np.concatenate(wall_sites)
+    theta = _wall_fractions(dom, grid.sites[arm_idx], np.concatenate(wall_dirs), h, delta)
+    np.add.at(diag, arm_idx, (1.0 / theta - 1.0) / h2)
 
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),

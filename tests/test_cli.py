@@ -387,3 +387,21 @@ def test_cli_import_stays_stdlib_only():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_reproduce_timers_start_after_module_import():
+    import subprocess
+    import sys
+
+    import confinement_lab
+
+    src = os.path.dirname(os.path.dirname(confinement_lab.__file__))
+    code = ("import sys, confinement_lab.cli as cli; "
+            "cli.REPRODUCE_CHECKS = [('probe', lambda t: (True, "
+            "str('scipy.optimize' in sys.modules)))]; "
+            "cli.DEFAULT_THRESHOLDS = {'probe': {}}; "
+            "cli.main(['reproduce'])")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[0].startswith("PASS  probe: True (")

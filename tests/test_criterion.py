@@ -18,7 +18,7 @@ from confinement_lab.criterion import (
 )
 from confinement_lab.domains import Ball3D, Disk2D, PuncturedSpace, SolidTorus3D
 from confinement_lab.errors import SingularityError, ValidationError
-from confinement_lab.exterior import axial_two_form
+from confinement_lab.exterior import axial_two_form, norm_sp_batch
 from confinement_lab.fields import (
     ConstantField,
     DipoleField,
@@ -221,6 +221,43 @@ class TestSamplingMechanics:
         # liminf falls back to the next depth: 0.5 * (1 + 1e-3)
         assert report.liminf_estimate == pytest.approx(0.5005, rel=1e-9)
         assert report.verdict == BELOW_THRESHOLD
+
+    def test_scan_evaluates_the_field_in_one_batch(self):
+        class Counting(ToroidalField):
+            calls = 0
+
+            def field_matrix_batch(self, x, domain=None, step=None):
+                Counting.calls += 1
+                return super().field_matrix_batch(x, domain=domain, step=step)
+
+        report = scan_margin(Counting(2.0, SolidTorus3D(2.0, 1.0)), n_anchors=64)
+        assert len(report.samples) == 64 * 4
+        assert Counting.calls <= 2
+
+    def test_one_singular_sample_excluded_alone(self):
+        field = DiskCounterexampleField(0.5)
+        clean = scan_margin(field)
+        bad = clean.samples[5 * 4 + 2]  # anchor 5, third depth
+
+        class PointSingular(DiskCounterexampleField):
+            def field_matrix_batch(self, x, domain=None, step=None):
+                pts = np.asarray(x, float).reshape(-1, 2)
+                if np.any(np.all(pts == bad.point, axis=-1)):
+                    raise SingularityError("test point singularity")
+                return super().field_matrix_batch(x, domain=domain, step=step)
+
+        report = scan_margin(PointSingular(0.5))
+        assert report.excluded == 1
+        assert report.warnings == [
+            f"anchor 5 depth {bad.depth:g}: sample excluded (test point singularity)"
+        ]
+        kept = [s for s in clean.samples if s is not bad]
+        assert [s.row() for s in report.samples] == [s.row() for s in kept]
+        dom = field.domain
+        for s in report.samples:
+            nsp = float(norm_sp_batch(field.field_matrix_batch(s.point, domain=dom)))
+            dist = float(dom.distance(s.point))
+            assert s.margin == nsp * dist * dist
 
     def test_all_excluded_rejected(self):
         class AlwaysSingular(DiskCounterexampleField):

@@ -34,6 +34,8 @@ from confinement_lab.fields import (
     PolytopeField,
     RotationOneForm,
     ToroidalField,
+    _SphereSurface,
+    _TorusSurface,
     boundary_one_form_analysis,
     evaluate_field,
     evaluate_potential,
@@ -525,11 +527,16 @@ class TestBoundaryOneForm:
 
         def __init__(self, w):
             self.w = np.asarray(w, dtype=float)
-            self.calls = 0
+            self.shapes = []
+
+        @property
+        def calls(self):
+            return len(self.shapes)
 
         def __call__(self, x):
-            self.calls += 1
-            return np.cross(self.w, np.asarray(x, dtype=float))
+            x = np.asarray(x, dtype=float)
+            self.shapes.append(x.shape)
+            return np.cross(self.w, x)
 
     @pytest.mark.parametrize("w", [[0.3, -0.5, 0.8], [0.2, 0.1, -0.25]])
     def test_off_grid_zeros_of_tilted_cross_form(self, w):
@@ -546,12 +553,23 @@ class TestBoundaryOneForm:
         assert report.assumption_satisfied == (2.0 * np.linalg.norm(w) > 1.0)
 
     def test_zero_refinement_evaluation_count(self):
-        # deterministic work guard: the coarse grid costs 1154 calls, so the
-        # 194 refinements around the poles must stay cheap
+        # deterministic work guard: the coarse grid is one call, so the 194
+        # refinements around the poles must stay cheap
         a0 = self.CrossOneForm([0.0, 0.0, 1.0])
         report = boundary_one_form_analysis(NonToroidalField(Ball3D(1.0), base_one_form=a0))
         assert len(report.zeros) == 2
         assert a0.calls < 8000
+        assert a0.shapes[0] == (len(_SphereSurface(1.0).grid(48)), 3)
+        # the rest are single refinement points and 3-point derivative stencils
+        assert max(math.prod(s[:-1]) for s in a0.shapes[1:]) <= 3
+
+    @pytest.mark.parametrize("surface", [_SphereSurface(1.5), _TorusSurface(3.0, 1.0)],
+                             ids=["sphere", "torus"])
+    def test_surface_normal_broadcasts(self, surface):
+        pts = surface.grid(16)
+        normals = surface.normal(pts)
+        np.testing.assert_array_equal(normals, np.array([surface.normal(p) for p in pts]))
+        np.testing.assert_allclose(np.linalg.norm(normals, axis=-1), 1.0, rtol=1e-15)
 
     def test_azimuthal_form_on_torus_never_vanishes(self):
         f = ToroidalField(2.0, SolidTorus3D(3.0, 1.0))
