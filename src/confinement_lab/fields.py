@@ -754,7 +754,7 @@ def boundary_one_form_analysis(field, resolution=48, retries=3):
     pts = surface.grid(resolution)
     tnorms = np.linalg.norm(_tangential_part(a0, surface, pts), axis=-1)
     scale = max(float(np.max(tnorms)), 1e-30)
-    order = np.argsort(tnorms)
+    order = np.argsort(tnorms, kind="stable")  # ties (exact zeros) keep grid order
     zeros = []
     zero_tol = 1e-8 * scale
     candidate_tol = 0.25 * scale

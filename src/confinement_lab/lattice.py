@@ -372,12 +372,17 @@ def assemble(field, dom, h, delta=0.0, quadrature="midpoint"):
 
 
 def _locate_singular_edge(field, starts, axis, h, quadrature):
-    """Bisect to one offending edge for the AssemblyError message."""
-    for row in starts:
-        try:
-            _edge_phase_exponents(field, row[None, :], axis, h, quadrature)
-        except SingularityError:
-            return np.round(row, 12).tolist()
+    """The first offending edge for the AssemblyError message: a batch that
+    raises is split in halves, head first, down to a single edge."""
+    try:
+        _edge_phase_exponents(field, starts, axis, h, quadrature)
+    except SingularityError:
+        if len(starts) == 1:
+            return np.round(starts[0], 12).tolist()
+        half = len(starts) // 2
+        head = _locate_singular_edge(field, starts[:half], axis, h, quadrature)
+        return head if head != "unknown" else _locate_singular_edge(
+            field, starts[half:], axis, h, quadrature)
     return "unknown"
 
 

@@ -257,38 +257,21 @@ def _window_slope(ts, logmags):
     return float(coef[0]), float(np.max(np.abs(resid)))
 
 
-def _solve_log_coordinate(problem, endpoint, lam, d0, n_windows, fit_last):
-    a, b = problem.interval
-    sign = 1.0 if endpoint == a else -1.0
+def _fundamental_magnitudes(g, t0, t_eval, drift):
+    """|w| at ``t_eval`` for both solutions of w'' = drift w' + g(t) w with
+    w(t0) = 1, w'(t0) = 0 and w(t0) = 0, w'(t0) = 1, integrated together as the
+    fundamental system [w1, w1', w2, w2'] (one ``g`` call per stage).  Returns
+    the (2, len(t_eval)) magnitudes, or None and the solver's message."""
 
     def rhs(t, y):
-        x = math.exp(t)
-        r = endpoint + sign * x
-        qv = complex(problem.q(r))
-        return [y[1], y[1] + x * x * (qv - lam) * y[0]]
+        gv = g(t)
+        return [y[1], drift * y[1] + gv * y[0], y[3], drift * y[3] + gv * y[2]]
 
-    t0 = math.log(d0)
-    window_ts = t0 - math.log(2.0) * np.arange(4, n_windows + 1)
-    slopes, resids = [], []
-    for ic in ((1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j)):
-        sol = solve_ivp(
-            rhs,
-            (t0, window_ts[-1]),
-            list(ic),
-            t_eval=window_ts,
-            rtol=1e-10,
-            atol=1e-12,
-            method="RK45",
-        )
-        if not sol.success:
-            return None, {"reason": f"integration failed: {sol.message}"}
-        mags = np.abs(sol.y[0])
-        if np.any(mags == 0.0):
-            mags = np.maximum(mags, 1e-300)
-        slope, resid = _window_slope(sol.t[-fit_last:], np.log(mags[-fit_last:]))
-        slopes.append(slope)
-        resids.append(resid)
-    return slopes, {"fit_residuals": resids, "windows": len(window_ts)}
+    sol = solve_ivp(rhs, (t0, t_eval[-1]), [1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j],
+                    t_eval=t_eval, rtol=1e-10, atol=1e-12, method="DOP853")
+    if not sol.success:
+        return None, sol.message
+    return np.maximum(np.abs(sol.y[0::2]), 1e-300), None
 
 
 def classify_by_solving(
@@ -303,50 +286,49 @@ def classify_by_solving(
     """Endpoint type from the growth exponent of solutions at spectral
     parameter ``lam`` (nonreal, so the Weyl alternative applies).
 
-    Finite endpoints are integrated in the log coordinate; the dominant
-    measured exponent estimates s_minus and the endpoint is limit point iff
-    it is <= -1/2 - band, limit circle iff >= -1/2 + band, else inconclusive.
-    Infinite endpoints are integrated in r directly, where a nonreal lam
-    forces exponential growth of the dominant solution (limit point).
+    Finite endpoints are integrated in the log coordinate t = ln(dist), where
+    w'' = w' + x^2 (q - lam) w; the dominant measured exponent estimates
+    s_minus and the endpoint is limit point iff it is <= -1/2 - band, limit
+    circle iff >= -1/2 + band, else inconclusive.  Infinite endpoints are
+    integrated in r directly, w'' = (q - lam) w, where a nonreal lam forces
+    exponential growth of the dominant solution (limit point).
     """
     a, b = problem.interval
     if math.isinf(endpoint):
-        r0 = 10.0 * problem.length_scale()
+        t0 = 10.0 * problem.length_scale()
+        ts = np.linspace(t0, t0 + 30.0, 16)
+        drift, fit = 0.0, 8
 
-        def rhs(r, y):
-            return [y[1], (complex(problem.q(r)) - lam) * y[0]]
+        def g(r):
+            return complex(problem.q(r)) - lam
+    else:
+        if not (endpoint == a or endpoint == b):
+            raise RangeError(f"endpoint {endpoint} is not an endpoint of {problem.interval}")
+        sign = 1.0 if endpoint == a else -1.0
+        t0 = math.log(d0_fraction * problem.length_scale())
+        ts = t0 - math.log(2.0) * np.arange(4, n_windows + 1)
+        drift, fit = 1.0, fit_last
 
-        r_eval = np.linspace(r0, r0 + 30.0, 16)
-        growth = []
-        diags = {}
-        for ic in ((1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j)):
-            sol = solve_ivp(rhs, (r0, r_eval[-1]), list(ic), t_eval=r_eval, rtol=1e-10, atol=1e-12)
-            if not sol.success:
-                return EndpointClassification(
-                    endpoint=endpoint, kind=INCONCLUSIVE, c=None, s_minus=None, s_plus=None,
-                    method="solve", diagnostics={"reason": f"integration failed: {sol.message}"},
-                )
-            mags = np.maximum(np.abs(sol.y[0]), 1e-300)
-            slope, resid = _window_slope(sol.t[-8:], np.log(mags[-8:]))
-            growth.append(slope)
-        diags["growth_rates"] = growth
-        kind = LIMIT_POINT if max(growth) > band else INCONCLUSIVE
-        return EndpointClassification(
-            endpoint=endpoint, kind=kind, c=None, s_minus=None, s_plus=None,
-            method="solve", diagnostics=diags,
-        )
+        def g(t):
+            x = math.exp(t)
+            return x * x * (complex(problem.q(endpoint + sign * x)) - lam)
 
-    if not (endpoint == a or endpoint == b):
-        raise RangeError(f"endpoint {endpoint} is not an endpoint of {problem.interval}")
-    d0 = d0_fraction * problem.length_scale()
-    slopes, diags = _solve_log_coordinate(problem, endpoint, lam, d0, n_windows, fit_last)
-    if slopes is None:
+    mags, message = _fundamental_magnitudes(g, t0, ts, drift)
+    if mags is None:
         return EndpointClassification(
             endpoint=endpoint, kind=INCONCLUSIVE, c=None, s_minus=None, s_plus=None,
-            method="solve", diagnostics=diags,
+            method="solve", diagnostics={"reason": f"integration failed: {message}"},
+        )
+    fits = [_window_slope(ts[-fit:], np.log(m[-fit:])) for m in mags]
+    slopes, resids = [f[0] for f in fits], [f[1] for f in fits]
+    if math.isinf(endpoint):
+        kind = LIMIT_POINT if max(slopes) > band else INCONCLUSIVE
+        return EndpointClassification(
+            endpoint=endpoint, kind=kind, c=None, s_minus=None, s_plus=None, method="solve",
+            diagnostics={"fit_residuals": resids, "growth_rates": slopes},
         )
     s_min = min(slopes)
-    diags["exponents"] = slopes
+    diags = {"fit_residuals": resids, "windows": len(ts), "exponents": slopes}
     # invert s_minus = (1 - sqrt(1 + 4c))/2 for a c estimate when real-valued
     c_est = s_min * s_min - s_min
     if s_min > -0.5 + band:

@@ -513,6 +513,13 @@ class TestBoundaryOneForm:
             assert z.derivative_norm_sp == pytest.approx(2.0, abs=1e-6)
         assert report.assumption_satisfied
 
+    @pytest.mark.parametrize("resolution", [24, 48])
+    def test_pole_zeros_in_grid_order(self, resolution):
+        # Both poles have tangential norm exactly 0; ties keep the grid's
+        # order, which lists the north pole before the south pole.
+        report = boundary_one_form_analysis(NonToroidalField(Ball3D(1.0)), resolution=resolution)
+        assert [z.point.tolist() for z in report.zeros] == [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+
     def test_scaled_rotation_form_fails_assumption(self):
         f = NonToroidalField(Ball3D(1.0), base_one_form=RotationOneForm(0.4))
         report = boundary_one_form_analysis(f, resolution=32)

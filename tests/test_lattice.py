@@ -134,6 +134,26 @@ def test_singular_edge_reported():
         assemble(StringLineField(), dom, 0.5)
 
 
+def test_singular_edge_located_by_bisection():
+    class PoleLineField:
+        kind = "pole_line"
+        calls = 0
+
+        def potential(self, x):
+            self.calls += 1
+            x = np.asarray(x, dtype=float)
+            if np.any(np.abs(x[..., 0] - 0.99) < 1e-9):
+                raise SingularityError("potential has a pole on the line x1 = 0.99")
+            return np.stack([np.zeros_like(x[..., 0]), 1.0 / (x[..., 0] - 0.99)], axis=-1)
+
+    # 200 x 200 sites; the first singular edge is the 39,601st along axis 0.
+    field = PoleLineField()
+    with pytest.raises(AssemblyError) as err:
+        assemble(field, axis_box([-1.0, -1.0], [1.0, 1.0]), 0.01)
+    assert "along axis 0 starting at [0.985, -0.995]:" in str(err.value)
+    assert field.calls < 100
+
+
 def test_gauss3_matches_midpoint_for_affine_potential():
     dom = unit_square()
     f = ConstantField(plane_two_form(1.7))

@@ -33,6 +33,14 @@ def synthetic_problem(c):
     )
 
 
+def counted(problem):
+    """Wrap ``problem``'s potential; the returned list grows by one per call."""
+    calls = []
+    q = problem.q
+    problem.q = lambda r: calls.append(r) or q(r)
+    return calls
+
+
 class TestReductions:
     def test_disk_mode_potential_frozen_value(self):
         p = reduce_disk_mode(0.5, 1)
@@ -160,6 +168,41 @@ class TestSolving:
         assert cls.kind == LIMIT_POINT
         # nonreal spectral parameter forces growth Re sqrt(-i) = sqrt(2)/2
         assert max(cls.diagnostics["growth_rates"]) == pytest.approx(math.sqrt(2) / 2, abs=1e-2)
+
+    def test_infinite_endpoint_fit_residuals(self):
+        # The residual is the curvature of the WKB phase over the last 8
+        # samples: Re sqrt(-i + c/r^2) = sqrt(2)/2 + c/(2 sqrt(2) r^2) + ...
+        cls = classify_by_solving(reduce_monopole(2), math.inf)
+        r = np.linspace(26.0, 40.0, 8)
+        tail = -1.0 / (2.0 * math.sqrt(2.0) * r)
+        curvature = np.max(np.abs(tail - np.polyval(np.polyfit(r, tail, 1), r)))
+        resids = cls.diagnostics["fit_residuals"]
+        assert len(resids) == 2 and all(math.isfinite(v) for v in resids)
+        assert resids == pytest.approx([curvature, curvature], rel=0.01)
+
+    @pytest.mark.parametrize("problem, endpoint, budget", [
+        (reduce_disk_mode(0.9, 0), 1.0, 600),
+        (reduce_monopole(2), math.inf, 2000),
+    ])
+    def test_q_evaluations_per_classification(self, problem, endpoint, budget):
+        calls = counted(problem)
+        classify_by_solving(problem, endpoint)
+        assert len(calls) <= budget
+
+    # Recorded with an independent integration (RK45, one solve per initial
+    # condition, same tolerances and windows).
+    @pytest.mark.parametrize("problem, endpoint, key, expected", [
+        (reduce_disk_mode(0.5, 0), 1.0, "exponents",
+         [-0.20706662615015056, -0.2070892637667099]),
+        (reduce_disk_mode(0.9, 0), 1.0, "exponents",
+         [-0.529514446282379, -0.5295147601349258]),
+        (reduce_monopole(2), 0.0, "exponents", [-0.6180339662621673, -0.6180340476567733]),
+        (reduce_monopole(2), math.inf, "growth_rates",
+         [0.7074424761164978, 0.7074424761071467]),
+    ])
+    def test_exponents_pinned(self, problem, endpoint, key, expected):
+        cls = classify_by_solving(problem, endpoint)
+        assert cls.diagnostics[key] == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_oscillatory_subcritical_is_limit_circle(self):
         # c < -1/4 gives complex indicial roots with real part 1/2: limit circle
