@@ -102,15 +102,17 @@ def plane_two_form(b: float, dim: int = 2) -> TwoForm:
     return TwoForm(m)
 
 
+def axial_matrices(v) -> np.ndarray:
+    """(..., 3, 3) coefficients of the two-forms with axial vectors v (..., 3)."""
+    mats = np.zeros(v.shape[:-1] + (3, 3))
+    mats[..., 1, 2], mats[..., 2, 0], mats[..., 0, 1] = v[..., 0], v[..., 1], v[..., 2]
+    mats[..., 2, 1], mats[..., 0, 2], mats[..., 1, 0] = -v[..., 0], -v[..., 1], -v[..., 2]
+    return mats
+
+
 def axial_two_form(v) -> TwoForm:
     """d = 3 two-form with axial vector v: v_1 dy^dz + v_2 dz^dx + v_3 dx^dy."""
-    v = np.asarray(v, dtype=float).reshape(3)
-    m = np.array([
-        [0.0, v[2], -v[1]],
-        [-v[2], 0.0, v[0]],
-        [v[1], -v[0], 0.0],
-    ])
-    return TwoForm(m)
+    return TwoForm(axial_matrices(np.asarray(v, dtype=float).reshape(3)))
 
 
 def axial_vector(B: TwoForm) -> np.ndarray:
@@ -215,30 +217,36 @@ FD_BASE = 1e-5
 FD_BOUNDARY_FRACTION = 0.02
 
 
-def fd_step(x: np.ndarray, domain=None) -> float:
+def central_difference_batch(potential, x, dim, domain=None, step=None) -> np.ndarray:
+    """Central-difference coefficients of dA at points x, shape (..., d) -> (..., d, d).
+
+    The step is ``step``, or 1e-5 * (1 + |x|) shrunk near ``domain``'s
+    boundary.  One potential call per axis and sign covers every point.
+    """
     x = np.asarray(x, dtype=float)
-    h = FD_BASE * (1.0 + float(np.linalg.norm(x)))
-    if domain is not None:
-        h = min(h, FD_BOUNDARY_FRACTION * float(domain.distance(x)))
-    return h
+    pts = x.reshape(-1, dim)
+    if step is None:
+        h = FD_BASE * (1.0 + np.linalg.norm(pts, axis=-1))
+        if domain is not None:
+            if not np.all(domain.contains(pts)):
+                raise DomainError("field evaluation outside the domain")
+            h = np.minimum(h, FD_BOUNDARY_FRACTION * domain._distance_raw(pts))
+    else:
+        h = np.full(pts.shape[0], float(step))
+    jac = np.empty((pts.shape[0], dim, dim))
+    for j in range(dim):
+        dx = h[:, None] * np.eye(dim)[j]
+        jac[:, j, :] = (potential(pts + dx) - potential(pts - dx)) / (2.0 * h[:, None])
+    return (jac - np.swapaxes(jac, -1, -2)).reshape(x.shape[:-1] + (dim, dim))
 
 
 def exterior_derivative(A: PotentialField, x, step: Optional[float] = None) -> TwoForm:
-    """Two-form dA at a point.
+    """Two-form dA at a point x of shape (d,).
 
-    Parameters
-    ----------
-    A : PotentialField
-    x : array_like, shape (d,)
-    step : float, optional
-        Central-difference step.  Defaults to 1e-5 * (1 + |x|), shrunk near the
-        domain boundary when ``A.domain`` is set.
-
-    Returns
-    -------
-    TwoForm
-        Closed-form dA when ``A.field`` is available, otherwise the central
-        difference (dA)_jk = d_j a_k - d_k a_j + O(step^2).
+    Closed-form dA when ``A.field`` is available, otherwise the central
+    difference (dA)_jk = d_j a_k - d_k a_j + O(step^2) of
+    ``central_difference_batch``, whose default step shrinks near the
+    boundary of ``A.domain``.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     d = x.shape[0]
@@ -248,13 +256,9 @@ def exterior_derivative(A: PotentialField, x, step: Optional[float] = None) -> T
         raise DomainError(f"evaluation point {x.tolist()} lies outside the domain")
     if A.field is not None:
         return TwoForm(A.field(x))
-    h = fd_step(x, A.domain) if step is None else float(step)
-    if h <= 0:
+    if step is not None and step <= 0:
         raise ValidationError("finite-difference step must be positive")
-    # Rows of jac are d_j a_k for all k: 2d potential evaluations in total.
-    offsets = h * np.eye(d)
-    jac = (A.potential(x + offsets) - A.potential(x - offsets)) / (2.0 * h)
-    return TwoForm(jac - jac.T)
+    return TwoForm(central_difference_batch(A.potential, x, d, domain=A.domain, step=step))
 
 
 def pullback_to_surface(A0, chart: Callable, u, step: float = 1e-6) -> CoVector:

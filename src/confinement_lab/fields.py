@@ -26,8 +26,8 @@ from scipy.optimize import minimize
 from . import exterior
 from .domains import (Ball3D, Disk2D, JsonKind, Polytope, PuncturedSpace, SolidTorus3D, _decode,
                       domain_from_json)
-from .errors import ChartRankError, DomainError, SingularityError, ValidationError
-from .exterior import CoVector, PotentialField, TwoForm, norm_sp_batch
+from .errors import DomainError, SingularityError, SolverError, ValidationError
+from .exterior import CoVector, TwoForm, axial_matrices, norm_sp_batch
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 _DENOM_TINY = 1e-14
@@ -162,27 +162,7 @@ class MagneticField(JsonKind):
         if closed is not None:
             return closed
         dom = domain if domain is not None else self.domain
-        squeeze = x.ndim == 1
-        pts = x[None, :] if squeeze else x.reshape(-1, self.dim)
-        if step is None:
-            h = exterior.FD_BASE * (1.0 + np.linalg.norm(pts, axis=-1))
-            if dom is not None:
-                if not np.all(dom.contains(pts)):
-                    raise DomainError("field evaluation outside the domain")
-                h = np.minimum(h, exterior.FD_BOUNDARY_FRACTION * dom._distance_raw(pts))
-        else:
-            h = np.full(pts.shape[0], float(step))
-        d = self.dim
-        jac = np.empty((pts.shape[0], d, d))
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = 1.0
-            dx = h[:, None] * e[None, :]
-            jac[:, j, :] = (self.potential(pts + dx) - self.potential(pts - dx)) / (2.0 * h[:, None])
-        mats = jac - np.swapaxes(jac, -1, -2)
-        if squeeze:
-            return mats[0]
-        return mats.reshape(x.shape[:-1] + (d, d))
+        return exterior.central_difference_batch(self.potential, x, self.dim, domain=dom, step=step)
 
     def _closed_field(self, x):
         return None
@@ -393,14 +373,7 @@ class MonopoleField(MagneticField):
         if np.any(r < _DENOM_TINY):
             raise SingularityError("monopole field evaluated at the origin")
         v = (0.5 * self.charge) * x / r[..., None] ** 3
-        mats = np.zeros(x.shape[:-1] + (3, 3))
-        mats[..., 1, 2] = v[..., 0]
-        mats[..., 2, 1] = -v[..., 0]
-        mats[..., 2, 0] = v[..., 1]
-        mats[..., 0, 2] = -v[..., 1]
-        mats[..., 0, 1] = v[..., 2]
-        mats[..., 1, 0] = -v[..., 2]
-        return mats
+        return axial_matrices(v)
 
     def flux_through_sphere(self):
         """Total flux through any origin-centered sphere: 2 pi m exactly."""
@@ -444,16 +417,37 @@ class DipoleField(MagneticField):
         return (3.0 * c[..., None] * xhat - self.direction) / r[..., None] ** 3
 
     def _closed_field(self, x):
-        v = self.axial(x)
-        x = np.asarray(x, dtype=float)
-        mats = np.zeros(x.shape[:-1] + (3, 3))
-        mats[..., 1, 2] = v[..., 0]
-        mats[..., 2, 1] = -v[..., 0]
-        mats[..., 2, 0] = v[..., 1]
-        mats[..., 0, 2] = -v[..., 1]
-        mats[..., 0, 1] = v[..., 2]
-        mats[..., 1, 0] = -v[..., 2]
-        return mats
+        return axial_matrices(self.axial(x))
+
+
+def _unit_directions(directions):
+    dirs = [np.asarray(v, dtype=float).reshape(3) for v in directions]
+    if any(np.linalg.norm(v) < 1e-12 for v in dirs):
+        raise ValidationError("multipole direction must be nonzero")
+    return [v / np.linalg.norm(v) for v in dirs]
+
+
+def _center_differences(fn, x, dirs, rel_step, what):
+    """P(d/dc)|_{c=0} fn(x - c) at points x (..., 3), one row per point: P is the
+    product of derivatives along ``dirs``, by nested central differences with
+    steps h = rel_step * |x| and h/2 and one Richardson extrapolation.  All
+    2 * 2^n stencil points of all rows go through ``fn`` in one call."""
+    pts = np.asarray(x, dtype=float).reshape(-1, 3)
+    # per row equal to float(np.linalg.norm(pt)) bit for bit; norm(axis=-1) is not
+    h = rel_step * np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
+    if np.any(h == 0.0):
+        raise SingularityError(f"multipole {what} evaluated at the origin")
+    steps = np.stack([h, 0.5 * h])[:, :, None, None]  # (coarse | fine, point, stencil, axis)
+    tree = np.broadcast_to(pts[:, None, :], (2, len(pts), 1, 3))
+    for v in dirs:  # the last direction becomes the outermost half of the stencil axis
+        tree = np.concatenate([tree - steps * v, tree + steps * v], axis=2)
+    vals = np.asarray(fn(tree.reshape(-1, 3)))
+    vals = vals.reshape(tree.shape[:-1] + vals.shape[1:])
+    denom = (2.0 * steps).reshape((2, len(pts)) + (1,) * (vals.ndim - 2))
+    for _ in dirs:
+        half = vals.shape[2] // 2
+        vals = (vals[:, :, :half] - vals[:, :, half:]) / denom
+    return (4.0 * vals[1, :, 0] - vals[0, :, 0]) / 3.0
 
 
 def multipole_field(directions, x, rel_step=1e-2):
@@ -464,22 +458,9 @@ def multipole_field(directions, x, rel_step=1e-2):
     (scaled by |x|) removes the leading O(h^2) error.
     """
     x = np.asarray(x, dtype=float).reshape(3)
-    dirs = [np.asarray(v, dtype=float).reshape(3) for v in directions]
-    dirs = [v / np.linalg.norm(v) for v in dirs]
-    base = MonopoleField(2)
-
-    def nested(pt, remaining, h):
-        if not remaining:
-            return base._closed_field(pt)
-        v, rest = remaining[0], remaining[1:]
-        return (nested(pt - h * v, rest, h) - nested(pt + h * v, rest, h)) / (2.0 * h)
-
-    h = rel_step * float(np.linalg.norm(x))
-    if h == 0.0:
-        raise SingularityError("multipole field evaluated at the origin")
-    coarse = nested(x, dirs, h)
-    fine = nested(x, dirs, 0.5 * h)
-    return TwoForm((4.0 * fine - coarse) / 3.0)
+    mats = _center_differences(MonopoleField(2)._closed_field, x, _unit_directions(directions),
+                               rel_step, "field")
+    return TwoForm(mats[0])
 
 
 class MultipoleField(MagneticField):
@@ -490,7 +471,7 @@ class MultipoleField(MagneticField):
     json_keys = ("directions",)
 
     def __init__(self, directions):
-        self.directions = [np.asarray(v, float).reshape(3) / np.linalg.norm(v) for v in directions]
+        self.directions = _unit_directions(directions)
         self.degree = len(self.directions)
         self.dim = 3
         self.domain = PuncturedSpace(3)
@@ -499,35 +480,16 @@ class MultipoleField(MagneticField):
         x = np.asarray(x, dtype=float)
         if self.degree == 0:
             return MonopoleField(2).potential(x)
-        base = DipoleField(self.directions[0])
-        rest = self.directions[1:]
-        squeeze = x.ndim == 1
-        pts = x.reshape(-1, 3)
-
-        def nested(pt, remaining, h):
-            if not remaining:
-                return base.potential(pt)
-            v, tail = remaining[0], remaining[1:]
-            return (nested(pt - h * v, tail, h) - nested(pt + h * v, tail, h)) / (2.0 * h)
-
-        out = np.empty_like(pts)
-        for i, pt in enumerate(pts):
-            h = rel_step * float(np.linalg.norm(pt))
-            if h == 0.0:
-                raise SingularityError("multipole potential evaluated at the origin")
-            coarse = nested(pt, rest, h)
-            fine = nested(pt, rest, 0.5 * h)
-            out[i] = (4.0 * fine - coarse) / 3.0
-        return out[0] if squeeze else out.reshape(x.shape)
+        out = _center_differences(DipoleField(self.directions[0]).potential, x,
+                                  self.directions[1:], rel_step, "potential")
+        return out.reshape(x.shape)
 
     def field_matrix_batch(self, x, domain=None, step=None):
+        # normalized once more, as multipole_field(self.directions, row) does: same bits
         x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        pts = x.reshape(-1, 3)
-        mats = np.empty((pts.shape[0], 3, 3))
-        for i, pt in enumerate(pts):
-            mats[i] = multipole_field(self.directions, pt).entries
-        return mats[0] if squeeze else mats.reshape(x.shape[:-1] + (3, 3))
+        mats = _center_differences(MonopoleField(2)._closed_field, x,
+                                   _unit_directions(self.directions), 1e-2, "field")
+        return mats.reshape(x.shape[:-1] + (3, 3))
 
 
 class GaugeShiftField(MagneticField):
@@ -599,13 +561,27 @@ class OneFormBoundaryReport:
     max_tangential_norm: float
 
 
+def _lattice(resolution):
+    """(long, short) side of the angular coarse grid."""
+    return max(resolution, 16), max(resolution // 2, 8)
+
+
+def _quads(idx):
+    """Quads (i, j) -> (i+1, j) -> (i+1, j+1) -> (i, j+1) of an index lattice,
+    periodic in both axes, in row-major order, shape (n_i * n_j, 4)."""
+    down = np.roll(idx, -1, axis=0)
+    quads = np.stack([idx, down, np.roll(down, -1, axis=1), np.roll(idx, -1, axis=1)], axis=-1)
+    return quads.reshape(-1, 4)
+
+
 class _SphereSurface:
+    euler_characteristic = 2
+
     def __init__(self, radius):
         self.radius = float(radius)
 
     def grid(self, resolution):
-        n_th = max(resolution // 2, 8)
-        n_ph = max(resolution, 16)
+        n_ph, n_th = _lattice(resolution)
         th = (np.arange(n_th) + 0.5) * np.pi / n_th
         ph = 2 * np.pi * np.arange(n_ph) / n_ph
         TH, PH = np.meshgrid(th, ph, indexing="ij")
@@ -616,6 +592,17 @@ class _SphereSurface:
         poles = self.radius * np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
         return np.concatenate([pts.reshape(-1, 3), poles])
 
+    def cells(self, resolution):
+        """Grid cells as groups (loops, centres).  A loop lists grid indices
+        counterclockwise about the outward normal (theta-hat x phi-hat): the
+        theta x phi quads, then the first and last theta rows, which ring the
+        north and south poles."""
+        n_ph, n_th = _lattice(resolution)
+        idx = np.arange(n_th * n_ph).reshape(n_th, n_ph)
+        quads, pts = _quads(idx)[:-n_ph], self.grid(resolution)
+        return [(quads, self.project(pts[quads].mean(axis=1))),
+                (np.stack([idx[0], idx[-1, ::-1]]), pts[-2:])]
+
     def normal(self, p):
         return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
@@ -624,19 +611,27 @@ class _SphereSurface:
 
 
 class _TorusSurface:
+    euler_characteristic = 0
+
     def __init__(self, major_radius, minor_radius):
         self.major = float(major_radius)
         self.minor = float(minor_radius)
 
     def grid(self, resolution):
-        n_phi = max(resolution, 16)
-        n_psi = max(resolution // 2, 8)
+        n_phi, n_psi = _lattice(resolution)
         phi = 2 * np.pi * np.arange(n_phi) / n_phi
         psi = 2 * np.pi * np.arange(n_psi) / n_psi
         PHI, PSI = np.meshgrid(phi, psi, indexing="ij")
         rho = self.major + self.minor * np.cos(PSI)
         pts = np.stack([rho * np.cos(PHI), rho * np.sin(PHI), self.minor * np.sin(PSI)], axis=-1)
         return pts.reshape(-1, 3)
+
+    def cells(self, resolution):
+        """The phi x psi quads of the grid, counterclockwise about the outward
+        normal (phi-hat x psi-hat), with their centres."""
+        n_phi, n_psi = _lattice(resolution)
+        quads = _quads(np.arange(n_phi * n_psi).reshape(n_phi, n_psi))
+        return [(quads, self.project(self.grid(resolution)[quads].mean(axis=1)))]
 
     def _core_point(self, p):
         """Nearest point of the core circle to p, shape (..., 3)."""
@@ -652,11 +647,9 @@ class _TorusSurface:
         return self._core_point(p) + self.minor * self.normal(p)
 
 
-def _tangent_frame(normal, seed_vec=None):
+def _tangent_frame(normal):
     n = normal / np.linalg.norm(normal)
-    ref = seed_vec if seed_vec is not None else (
-        np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    )
+    ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = ref - np.dot(ref, n) * n
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(n, e1)
@@ -668,6 +661,18 @@ def _tangential_part(a0, surface, p):
     a = np.asarray(a0(p), dtype=float)
     n = surface.normal(p)
     return a - np.sum(a * n, axis=-1, keepdims=True) * n
+
+
+def _turns(t, normals, tails, heads):
+    """Turn of the tangential field t along grid edges tail -> head: the angle
+    atan2(n . (t_lo x t_hi), t_lo . t_hi) about the edge's mean normal n,
+    from its lower grid index to its higher, negated in the other direction,
+    so the two cells of an edge see exactly opposite turns."""
+    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
+    n = normals[lo] + normals[hi]
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    turn = np.arctan2(np.sum(n * np.cross(t[lo], t[hi]), axis=-1), np.sum(t[lo] * t[hi], axis=-1))
+    return np.where(tails < heads, turn, -turn)
 
 
 class _ChartGaussNewton:
@@ -720,82 +725,65 @@ def _surface_for_domain(domain):
     raise ValidationError("boundary one-form analysis supports ball3d and solid_torus3d domains")
 
 
-def boundary_one_form_analysis(field, resolution=48, retries=3):
-    """Locate the zeros of the boundary pullback of a field's reference
-    one-form and test the non-degeneracy assumption |d omega|_sp > 1 there.
+def boundary_one_form_analysis(field, resolution=48):
+    """Zeros of the boundary pullback omega of a field's reference one-form A0,
+    and the assumption |d omega|_sp > 1 at each (vacuously true without zeros).
 
-    Grid points whose tangential norm is below a quarter of the maximum are
-    refined, nearest-to-zero first, by Gauss-Newton on the chart residual
-    (see _ChartGaussNewton) through one trust-exact minimize call per chart.
-    A refined point counts as a zero only if its tangential norm is at most
-    1e-8 of the maximum; otherwise the candidate is retried on rotated charts.
-
-    Parameters
-    ----------
-    field : NonToroidalField or ToroidalField
-        Supplies the smooth reference one-form A0 and the domain whose
-        boundary is scanned (sphere or torus).
-    resolution : int
-        Angular grid resolution of the coarse scan.
-    retries : int
-        Rotated-chart retries per candidate before giving up.
-
-    Returns
-    -------
-    OneFormBoundaryReport
-        Refined zero locations with |d omega|_sp at each, and the flag that is
-        true iff the norm exceeds 1 at every zero (vacuously true when the
-        pullback never vanishes, e.g. the toroidal reference form).
+    The tangential part of A0 is evaluated once on the angular grid of the
+    boundary sphere or torus.  Its winding number around a grid cell is the
+    Poincare-Hopf index of the zeros inside, and the indices must sum to the
+    Euler characteristic (2 or 0); a zero exactly on a grid point breaks
+    this.  Each cell of nonzero index, in grid order, is refined once by
+    Gauss-Newton (see _ChartGaussNewton) from its centre, and must end on a
+    zero (|t| at most 1e-8 of the largest grid norm) of the cell's index,
+    and no two cells may end on one zero.  Any failed check raises
+    SolverError.
     """
     if not hasattr(field, "base_one_form"):
         raise ValidationError("field must carry a base one-form (toroidal / nontoroidal kinds)")
     a0 = field.base_one_form
     surface = _surface_for_domain(field.domain)
     pts = surface.grid(resolution)
-    tnorms = np.linalg.norm(_tangential_part(a0, surface, pts), axis=-1)
-    scale = max(float(np.max(tnorms)), 1e-30)
-    order = np.argsort(tnorms, kind="stable")  # ties (exact zeros) keep grid order
-    zeros = []
-    zero_tol = 1e-8 * scale
-    candidate_tol = 0.25 * scale
-    sep = 0.05 * max(getattr(surface, "radius", 0.0), getattr(surface, "major", 0.0), 1.0)
+    normals = surface.normal(pts)
+    t = _tangential_part(a0, surface, pts)
+    scale = max(float(np.max(np.linalg.norm(t, axis=-1))), 1e-30)
 
-    for idx in order:
-        if tnorms[idx] > candidate_tol:
-            break
-        p0 = pts[idx]
-        if any(np.linalg.norm(p0 - z.point) < sep for z in zeros):
-            continue
-        refined = None
-        for attempt in range(retries):
-            seed = None
-            if attempt:
-                rng = np.random.default_rng(attempt)
-                seed = rng.normal(size=3)
-            frame = _tangent_frame(surface.normal(p0), seed_vec=seed)
-            gn = _ChartGaussNewton(a0, surface, p0, frame)
-            res = minimize(
-                gn.objective, np.zeros(2), jac=True, hess=gn.hessian,
-                method="trust-exact", options={"gtol": 1e-16},
+    index, centres = [], []
+    for loops, group_centres in surface.cells(resolution):
+        turns = _turns(t, normals, loops, np.roll(loops, -1, axis=1))
+        index.append(np.rint(turns.sum(axis=1) / (2.0 * np.pi)).astype(int))
+        centres.append(group_centres)
+    index, centres = np.concatenate(index), np.concatenate(centres)
+    if index.sum() != surface.euler_characteristic:
+        raise SolverError(f"boundary zero indices sum to {index.sum()}, not the Euler "
+                          f"characteristic {surface.euler_characteristic}: is a zero on the grid?")
+    points = []
+    for cell in np.flatnonzero(index):
+        p0 = centres[cell]
+        gn = _ChartGaussNewton(a0, surface, p0, _tangent_frame(surface.normal(p0)))
+        res = minimize(
+            gn.objective, np.zeros(2), jac=True, hess=gn.hessian,
+            method="trust-exact", options={"gtol": 1e-16},
+        )
+        points.append(gn.chart(res.x))
+        residual = float(np.linalg.norm(_tangential_part(a0, surface, points[-1])))
+        found = int(np.sign(np.linalg.det(gn._terms(res.x)[1])))
+        if residual > 1e-8 * scale or found != index[cell]:
+            raise SolverError(
+                f"refining a cell of index {index[cell]} from {p0.tolist()} ended at "
+                f"{points[-1].tolist()}: |t| = {residual:.3e} (limit {1e-8 * scale:.3e}), "
+                f"index {found}"
             )
-            q = gn.chart(res.x)
-            if np.linalg.norm(_tangential_part(a0, surface, q)) <= zero_tol:
-                refined = q
-                break
-        if refined is None:
-            # candidate did not converge to a genuine zero; skip it unless it
-            # looked like one on the coarse grid
-            if tnorms[idx] <= 1e-6 * scale:
-                raise ChartRankError("zero refinement failed after rotated-chart retries")
-            continue
-        if any(np.linalg.norm(refined - z.point) < sep for z in zeros):
-            continue
-        n = surface.normal(refined)
-        e1, e2 = _tangent_frame(n)
-        A0f = PotentialField(potential=lambda x: np.asarray(a0(x), float), dim=3)
-        dmat = exterior.exterior_derivative(A0f, refined).entries
-        dnorm = abs(float(e1 @ dmat @ e2))
-        zeros.append(OneFormZero(point=refined, derivative_norm_sp=dnorm))
-
+    points = np.reshape(points, (-1, 3))
+    i, j = np.triu_indices(len(points), k=1)
+    twice = np.linalg.norm(points[i] - points[j], axis=-1) <= 1e-6 * np.max(np.abs(pts))
+    if np.any(twice):
+        raise SolverError(f"two cells of nonzero index refined to one zero at "
+                          f"{points[i[twice][0]].tolist()}: are two zeros close to a grid edge?")
+    dmats = exterior.central_difference_batch(a0, points, 3)
+    zeros = []
+    for q, dmat in zip(points, dmats):
+        e1, e2 = _tangent_frame(surface.normal(q))
+        zeros.append(OneFormZero(point=q, derivative_norm_sp=abs(float(e1 @ dmat @ e2))))
     ok = all(z.derivative_norm_sp > 1.0 for z in zeros)
     return OneFormBoundaryReport(zeros=zeros, assumption_satisfied=ok, max_tangential_norm=scale)

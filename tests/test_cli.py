@@ -341,6 +341,13 @@ def test_bad_values_rejected_before_running(tmp_path, capsys, spec, message):
     assert_rejected(tmp_path, capsys, spec, message)
 
 
+def test_zero_multipole_direction_rejected(tmp_path, capsys):
+    # a zero direction used to divide by zero and write nan margins
+    spec = _spec("scan-criterion", {"anchors": 4},
+                 field={"kind": "multipole", "directions": [[0, 0, 0], [1, 0, 0]]})
+    assert_rejected(tmp_path, capsys, spec, "multipole direction must be nonzero")
+
+
 MALFORMED = {
     "monopole-no-charge": ("field", {"kind": "monopole"}),
     "constant-no-two-form": ("field", {"kind": "constant"}),

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from confinement_lab.domains import (
     Ball3D,
@@ -13,7 +16,8 @@ from confinement_lab.domains import (
     polygon_from_vertices,
     rotated_unit_square,
 )
-from confinement_lab.errors import DomainError, SingularityError, ValidationError
+from confinement_lab import fields
+from confinement_lab.errors import DomainError, SingularityError, SolverError, ValidationError
 from confinement_lab.exterior import (
     CoVector,
     PotentialField,
@@ -314,6 +318,45 @@ class TestMultipole:
         with pytest.raises(SingularityError):
             multipole_field([(0, 0, 1)], np.zeros(3))
 
+    def test_zero_direction_rejected(self):
+        with pytest.raises(ValidationError, match="multipole direction must be nonzero"):
+            MultipoleField([(0, 0, 0), (1, 0, 0)])
+        with pytest.raises(ValidationError, match="multipole direction must be nonzero"):
+            multipole_field([(0, 0, 0)], np.ones(3))
+
+    @staticmethod
+    def nested_reference(fn, pt, dirs, rel_step=1e-2):
+        """The per-point recursion the batched multipoles replace."""
+
+        def nested(p, remaining, h):
+            if not remaining:
+                return fn(p)
+            v, rest = remaining[0], remaining[1:]
+            return (nested(p - h * v, rest, h) - nested(p + h * v, rest, h)) / (2.0 * h)
+
+        h = rel_step * float(np.linalg.norm(pt))
+        return (4.0 * nested(pt, dirs, 0.5 * h) - nested(pt, dirs, h)) / 3.0
+
+    @pytest.mark.parametrize("degree", range(5))
+    def test_batch_rows_equal_per_point_recursion(self, degree):
+        rng = np.random.default_rng(degree)
+        f = MultipoleField(list(rng.normal(size=(degree, 3))))
+        unit = [v / np.linalg.norm(v) for v in f.directions]
+        X = rng.normal(size=(24, 3)) * rng.uniform(0.2, 5.0, size=(24, 1))
+        mats, pots = f.field_matrix_batch(X), f.potential(X)
+        for x, mat, pot in zip(X, mats, pots):
+            ref = self.nested_reference(MonopoleField(2)._closed_field, x, unit)
+            np.testing.assert_array_equal(mat, ref)
+            np.testing.assert_array_equal(mat, f.field_matrix_batch(x))
+            np.testing.assert_array_equal(mat, multipole_field(f.directions, x).entries)
+            if degree:
+                ref = self.nested_reference(DipoleField(f.directions[0]).potential, x,
+                                            f.directions[1:])
+                np.testing.assert_array_equal(pot, ref)
+            np.testing.assert_array_equal(pot, f.potential(x))
+        np.testing.assert_array_equal(f.field_matrix_batch(X.reshape(4, 6, 3)),
+                                      mats.reshape(4, 6, 3, 3))
+
 
 # ---------------------------------------------------------------------------
 # polytope field
@@ -411,6 +454,28 @@ class TestNonToroidalField:
         for depth in (1e-2, 1e-3):
             x = (1.0 - depth) * x_dir
             assert f.norm_sp(x) == pytest.approx(2.0 / depth**3, rel=1e-3)
+
+
+def _interior_points(domain, n, rng):
+    if isinstance(domain, Ball3D):
+        v = rng.normal(size=(n, 3))
+        return v / np.linalg.norm(v, axis=-1, keepdims=True) * rng.uniform(0.0, 0.99, (n, 1))
+    phi, psi = rng.uniform(0.0, 2 * np.pi, (2, n))
+    s = rng.uniform(0.0, 0.99 * domain.minor_radius, n)
+    rho = domain.major_radius + s * np.cos(psi)
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), s * np.sin(psi)], axis=-1)
+
+
+@pytest.mark.parametrize("f", [ToroidalField(2.0, SolidTorus3D(3.0, 1.0)),
+                               NonToroidalField(Ball3D(1.0))], ids=["toroidal", "nontoroidal"])
+def test_exterior_derivative_equals_field_batch(f):
+    # one central-difference kernel serves both entry points, bit for bit
+    pf = PotentialField(f.potential, 3, domain=f.domain)
+    X = _interior_points(f.domain, 40, np.random.default_rng(7))
+    mats = f.field_matrix_batch(X)
+    for x, mat in zip(X, mats):
+        np.testing.assert_array_equal(exterior_derivative(pf, x).entries, mat)
+        np.testing.assert_array_equal(f.field_matrix_batch(x), mat)
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +625,108 @@ class TestBoundaryOneForm:
         assert report.assumption_satisfied == (2.0 * np.linalg.norm(w) > 1.0)
 
     def test_zero_refinement_evaluation_count(self):
-        # deterministic work guard: the coarse grid is one call, so the 194
-        # refinements around the poles must stay cheap
+        # deterministic work guard: the coarse grid is one call, and each of
+        # the two polar cells of index +1 is refined once
         a0 = self.CrossOneForm([0.0, 0.0, 1.0])
         report = boundary_one_form_analysis(NonToroidalField(Ball3D(1.0), base_one_form=a0))
         assert len(report.zeros) == 2
         assert a0.calls < 8000
         assert a0.shapes[0] == (len(_SphereSurface(1.0).grid(48)), 3)
-        # the rest are single refinement points and 3-point derivative stencils
+        # the rest are single refinement points and derivative stencils over the zeros
         assert max(math.prod(s[:-1]) for s in a0.shapes[1:]) <= 3
+
+    def test_one_refinement_per_zero(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return minimize(*args, **kwargs)
+
+        minimize = fields.minimize
+        monkeypatch.setattr(fields, "minimize", counted)
+        report = boundary_one_form_analysis(NonToroidalField(Ball3D(1.0)))
+        assert len(report.zeros) == 2
+        assert len(calls) == 2
+
+    class LinearOneForm:
+        """x -> M x + c."""
+
+        def __init__(self, M, c=(0.0, 0.0, 0.0)):
+            self.M = np.asarray(M, dtype=float)
+            self.c = np.asarray(c, dtype=float)
+
+        def __call__(self, x):
+            return np.asarray(x, dtype=float) @ self.M.T + self.c
+
+    @staticmethod
+    def assert_zeros_at(report, expected, atol=1e-8):
+        assert len(report.zeros) == len(expected)
+        for e in expected:
+            assert min(np.linalg.norm(z.point - e) for z in report.zeros) <= atol
+
+    def test_four_zeros_with_indices_summing_to_two(self):
+        # a0 = grad[(u.x)^2 + eps (v.x)]: maxima near +-u (index +1 each),
+        # a saddle at v (-1) and a minimum at -v (+1)
+        R = Rotation.from_euler("xyz", [0.31, 0.77, 1.13]).as_matrix()
+        u, v, eps = R[:, 2], R[:, 0], 0.05
+        a0 = self.LinearOneForm(2.0 * np.outer(u, u), eps * v)
+        report = boundary_one_form_analysis(NonToroidalField(Ball3D(1.0), base_one_form=a0),
+                                            resolution=24)
+        c = math.sqrt(1.0 - eps**2 / 4)
+        self.assert_zeros_at(report, [v, -v, c * u + eps / 2 * v, -c * u + eps / 2 * v])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.3, 2.0), min_size=2, max_size=2),
+           st.floats(-3.0, 3.0))
+    def test_symmetric_linear_form_has_six_closed_zeros(self, seed, gaps, lowest):
+        # a0 = M x with M symmetric is a gradient: zeros at the eigenvectors
+        # +-Q[:, k] (two maxima, two saddles, two minima) and d a0 = 0
+        Q = Rotation.random(random_state=seed).as_matrix()
+        lam = lowest + np.cumsum([0.0, *gaps])
+        a0 = self.LinearOneForm(Q @ np.diag(lam) @ Q.T)
+        report = boundary_one_form_analysis(NonToroidalField(Ball3D(1.0), base_one_form=a0),
+                                            resolution=24)
+        self.assert_zeros_at(report, [s * Q[:, k] for k in range(3) for s in (1.0, -1.0)])
+        assert all(z.derivative_norm_sp < 1e-6 for z in report.zeros)
+        assert not report.assumption_satisfied
+
+    def test_zeros_on_grid_edges_all_found(self):
+        # grad(x^2 + 2y^2 + 3z^2): at resolution 24 the zeros +-x, +-y lie on
+        # meridian edges of the grid, midway between two theta rows
+        a0 = self.LinearOneForm(np.diag([2.0, 4.0, 6.0]))
+        report = boundary_one_form_analysis(NonToroidalField(Ball3D(1.0), base_one_form=a0),
+                                            resolution=24)
+        self.assert_zeros_at(report, [s * e for e in np.eye(3) for s in (1.0, -1.0)])
+
+    def test_zero_on_a_grid_point_raises(self):
+        # a0 = x - p vanishes exactly at the grid point p, which hides the
+        # field's turn there from every cell around p
+        p = _SphereSurface(1.0).grid(24)[100]
+        a0 = self.LinearOneForm(np.eye(3), -p)
+        with pytest.raises(SolverError, match="indices sum to 1, not the Euler characteristic 2"):
+            boundary_one_form_analysis(NonToroidalField(Ball3D(1.0), base_one_form=a0),
+                                       resolution=24)
+
+    def test_one_zero_reached_from_two_cells_raises(self):
+        # two zeros of opposite index lie near one grid edge whose end vectors
+        # are nearly antiparallel; at resolution 48 that edge adds a spurious
+        # +1/-1 pair of cells, whose refinements land on the real zeros again
+        rng = np.random.default_rng(6)
+        a0 = self.LinearOneForm(0.3 * rng.normal(size=(3, 3)), 0.5 * rng.normal(size=3))
+        f = ToroidalField(2.0, SolidTorus3D(3.0, 1.0), a0)
+        with pytest.raises(SolverError, match="two cells of nonzero index refined to one zero"):
+            boundary_one_form_analysis(f, resolution=48)
+        assert len(boundary_one_form_analysis(f, resolution=96).zeros) == 6
+
+    def test_torus_zeros_sum_to_zero_index(self):
+        # the constant form c: zeros where the outward normal is +-c, at
+        # +-R e +-r c with e the unit horizontal part of c (indices +1, -1, -1, +1)
+        c = np.array([0.6, 0.48, 0.64])
+        e = np.array([0.6, 0.48, 0.0]) / math.hypot(0.6, 0.48)
+        a0 = self.LinearOneForm(np.zeros((3, 3)), c)
+        report = boundary_one_form_analysis(ToroidalField(2.0, SolidTorus3D(3.0, 1.0), a0),
+                                            resolution=32)
+        self.assert_zeros_at(report, [3.0 * se * e + sc * c for se in (1, -1) for sc in (1, -1)])
 
     @pytest.mark.parametrize("surface", [_SphereSurface(1.5), _TorusSurface(3.0, 1.0)],
                              ids=["sphere", "torus"])
