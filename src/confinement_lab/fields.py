@@ -427,14 +427,18 @@ def _unit_directions(directions):
     return [v / np.linalg.norm(v) for v in dirs]
 
 
+def _row_norms(pts):
+    """Row norms sqrt(p . p) summed as float(np.linalg.norm(p)) sums; norm(axis=-1) is not."""
+    return np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
+
+
 def _center_differences(fn, x, dirs, rel_step, what):
     """P(d/dc)|_{c=0} fn(x - c) at points x (..., 3), one row per point: P is the
     product of derivatives along ``dirs``, by nested central differences with
     steps h = rel_step * |x| and h/2 and one Richardson extrapolation.  All
     2 * 2^n stencil points of all rows go through ``fn`` in one call."""
     pts = np.asarray(x, dtype=float).reshape(-1, 3)
-    # per row equal to float(np.linalg.norm(pt)) bit for bit; norm(axis=-1) is not
-    h = rel_step * np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
+    h = rel_step * _row_norms(pts)
     if np.any(h == 0.0):
         raise SingularityError(f"multipole {what} evaluated at the origin")
     steps = np.stack([h, 0.5 * h])[:, :, None, None]  # (coarse | fine, point, stencil, axis)
@@ -731,13 +735,14 @@ def boundary_one_form_analysis(field, resolution=48):
 
     The tangential part of A0 is evaluated once on the angular grid of the
     boundary sphere or torus.  Its winding number around a grid cell is the
-    Poincare-Hopf index of the zeros inside, and the indices must sum to the
-    Euler characteristic (2 or 0); a zero exactly on a grid point breaks
-    this.  Each cell of nonzero index, in grid order, is refined once by
-    Gauss-Newton (see _ChartGaussNewton) from its centre, and must end on a
-    zero (|t| at most 1e-8 of the largest grid norm) of the cell's index,
-    and no two cells may end on one zero.  Any failed check raises
-    SolverError.
+    Poincare-Hopf index of the zeros inside.  The indices must sum to the Euler
+    characteristic (2 or 0), which guards each cell's rounding (a zero on a grid
+    point breaks it), not completeness: a +1/-1 pair or an index-0 zero in one
+    cell adds nothing and is not found.  Each cell of nonzero index, in grid
+    order, is refined once by Gauss-Newton (see _ChartGaussNewton) from its
+    centre, and must end within one cell diameter on a zero (|t| at most 1e-8
+    of the largest grid norm) of its index; no two cells may end on one zero.
+    Any failed check raises SolverError.
     """
     if not hasattr(field, "base_one_form"):
         raise ValidationError("field must carry a base one-form (toroidal / nontoroidal kinds)")
@@ -748,12 +753,14 @@ def boundary_one_form_analysis(field, resolution=48):
     t = _tangential_part(a0, surface, pts)
     scale = max(float(np.max(np.linalg.norm(t, axis=-1))), 1e-30)
 
-    index, centres = [], []
+    index, centres, diameters = [], [], []
     for loops, group_centres in surface.cells(resolution):
         turns = _turns(t, normals, loops, np.roll(loops, -1, axis=1))
         index.append(np.rint(turns.sum(axis=1) / (2.0 * np.pi)).astype(int))
         centres.append(group_centres)
-    index, centres = np.concatenate(index), np.concatenate(centres)
+        reach = np.linalg.norm(pts[loops] - group_centres[:, None], axis=-1)
+        diameters.append(2.0 * np.max(reach, axis=1))
+    index, centres, diameters = (np.concatenate(a) for a in (index, centres, diameters))
     if index.sum() != surface.euler_characteristic:
         raise SolverError(f"boundary zero indices sum to {index.sum()}, not the Euler "
                           f"characteristic {surface.euler_characteristic}: is a zero on the grid?")
@@ -768,12 +775,12 @@ def boundary_one_form_analysis(field, resolution=48):
         points.append(gn.chart(res.x))
         residual = float(np.linalg.norm(_tangential_part(a0, surface, points[-1])))
         found = int(np.sign(np.linalg.det(gn._terms(res.x)[1])))
-        if residual > 1e-8 * scale or found != index[cell]:
+        moved = float(np.linalg.norm(points[-1] - p0))
+        if residual > 1e-8 * scale or found != index[cell] or moved > diameters[cell]:
             raise SolverError(
                 f"refining a cell of index {index[cell]} from {p0.tolist()} ended at "
                 f"{points[-1].tolist()}: |t| = {residual:.3e} (limit {1e-8 * scale:.3e}), "
-                f"index {found}"
-            )
+                f"index {found}, {moved:.3e} from the centre (diameter {diameters[cell]:.3e})")
     points = np.reshape(points, (-1, 3))
     i, j = np.triu_indices(len(points), k=1)
     twice = np.linalg.norm(points[i] - points[j], axis=-1) <= 1e-6 * np.max(np.abs(pts))

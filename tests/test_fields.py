@@ -326,7 +326,8 @@ class TestMultipole:
 
     @staticmethod
     def nested_reference(fn, pt, dirs, rel_step=1e-2):
-        """The per-point recursion the batched multipoles replace."""
+        """The per-point recursion the batched multipoles replace, with the
+        step taken from the same row norm as the batched code."""
 
         def nested(p, remaining, h):
             if not remaining:
@@ -334,7 +335,7 @@ class TestMultipole:
             v, rest = remaining[0], remaining[1:]
             return (nested(p - h * v, rest, h) - nested(p + h * v, rest, h)) / (2.0 * h)
 
-        h = rel_step * float(np.linalg.norm(pt))
+        h = rel_step * fields._row_norms(pt[None])[0]
         return (4.0 * nested(pt, dirs, 0.5 * h) - nested(pt, dirs, h)) / 3.0
 
     @pytest.mark.parametrize("degree", range(5))
@@ -717,6 +718,31 @@ class TestBoundaryOneForm:
         with pytest.raises(SolverError, match="two cells of nonzero index refined to one zero"):
             boundary_one_form_analysis(f, resolution=48)
         assert len(boundary_one_form_analysis(f, resolution=96).zeros) == 6
+
+    def test_refinement_leaving_its_cell_raises(self, monkeypatch):
+        # grad[exp(5 a.x) + exp(5 b.x)] has maxima (index +1) near a and b;
+        # started near the other maximum, the north polar cell's refinement
+        # ends on a true zero of its index, but outside the cell
+        a, b = np.array([0.0, 0.0, 1.0]), np.array([math.sin(1.2), 0.0, math.cos(1.2)])
+
+        def a0(x):
+            x = np.asarray(x, dtype=float)
+            return 5.0 * (np.exp(5.0 * x @ a)[..., None] * a + np.exp(5.0 * x @ b)[..., None] * b)
+
+        f = NonToroidalField(Ball3D(1.0), base_one_form=a0)
+        far = max((z.point for z in boundary_one_form_analysis(f, resolution=24).zeros),
+                  key=lambda p: float(p @ b))
+
+        def started_far(fun, x0, **kwargs):
+            gn = fun.__self__
+            if np.array_equal(gn.p0, a):
+                x0 = gn.frame @ (far / (far @ a) - a)
+            return minimize(fun, x0, **kwargs)
+
+        minimize = fields.minimize
+        monkeypatch.setattr(fields, "minimize", started_far)
+        with pytest.raises(SolverError, match=r"index 1, 1\.09\de\+00 from the centre"):
+            boundary_one_form_analysis(f, resolution=24)
 
     def test_torus_zeros_sum_to_zero_index(self):
         # the constant form c: zeros where the outward normal is +-c, at
