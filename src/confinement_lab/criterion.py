@@ -49,7 +49,6 @@ class MarginSample:
     distance: float
     norm_sp: float
     margin: float
-    direction: np.ndarray | None  # unit two-form entries, None below the floor
 
     def row(self):
         return {
@@ -104,46 +103,38 @@ class CriterionReport:
         return buf.getvalue()
 
 
-def _direction_distance(a, b):
-    d = a - b
-    iu = np.triu_indices(d.shape[0], k=1)
-    return float(np.sqrt(np.sum(d[iu] ** 2)))
-
-
-def direction_regularity(directions_by_anchor, tol=OSCILLATION_TOL,
-                         slack=TREND_SLACK, floor=TREND_FLOOR):
+def direction_regularity(directions, tol=OSCILLATION_TOL, slack=TREND_SLACK,
+                         floor=TREND_FLOOR):
     """Oscillation of the unit field direction along each ray.
 
-    directions_by_anchor: per anchor, the unit-form matrices ordered from the
-    largest depth to the smallest.  Returns (regular, max_oscillation,
-    per_anchor) where per-anchor oscillation is the max pairwise distance
-    and regularity additionally requires the step sizes not to grow from the
-    first depth pair to the last (within ``slack`` and an absolute ``floor``
-    that absorbs the finite-difference noise plateau).
+    directions: (anchors, depths, d, d) unit-form matrices, each ray from the
+    largest depth to the smallest, NaN where a direction is missing.  Returns
+    (regular, max_oscillation, per_anchor): per-anchor oscillation is the max
+    pairwise distance between a ray's present directions (0.0 below two), and
+    regularity also requires the step between consecutive present directions
+    not to grow from the first to the last (within ``slack`` and an absolute
+    ``floor`` that absorbs the finite-difference noise plateau).
     """
-    worst = 0.0
-    per_anchor = []
-    regular = True
-    for dirs in directions_by_anchor:
-        dirs = [d for d in dirs if d is not None]
-        if len(dirs) < 2:
-            per_anchor.append(0.0)
-            continue
-        pairwise = [
-            _direction_distance(dirs[i], dirs[j])
-            for i in range(len(dirs))
-            for j in range(i + 1, len(dirs))
-        ]
-        osc = max(pairwise)
-        per_anchor.append(osc)
-        worst = max(worst, osc)
-        if osc >= tol:
-            regular = False
-            continue
-        steps = [_direction_distance(dirs[k], dirs[k + 1]) for k in range(len(dirs) - 1)]
-        if len(steps) >= 2 and steps[-1] > slack * steps[0] + floor:
-            regular = False
-    return regular, worst, per_anchor
+    dirs = np.asarray(directions, dtype=float)
+    iu = np.triu_indices(dirs.shape[-1], k=1)
+    entries = dirs[..., iu[0], iu[1]]  # (anchors, depths, upper-triangle entries)
+    present = ~np.isnan(entries).any(axis=-1)
+    dist = np.sqrt(np.sum((entries[:, :, None] - entries[:, None, :]) ** 2, axis=-1))
+    dist = np.where(present[:, :, None] & present[:, None, :], dist, 0.0)
+    per_anchor = dist.max(axis=(1, 2), initial=0.0)
+    count = present.sum(axis=1)
+    # Present depths first, in ray order: the first step joins positions 0 and
+    # 1 of that order, the last step positions count-2 and count-1.
+    order = np.argsort(~present, axis=1, kind="stable")
+    at = np.stack([np.zeros_like(count), np.ones_like(count), count - 2, count - 1], axis=1)
+    ends = np.take_along_axis(order, np.clip(at, 0, order.shape[1] - 1), axis=1)
+    rows = np.arange(len(order))
+    first = dist[rows, ends[:, 0], ends[:, 1]]
+    last = dist[rows, ends[:, 2], ends[:, 3]]
+    oscillates = (count >= 2) & (per_anchor >= tol)
+    grows = (count >= 3) & (last > slack * first + floor)
+    regular = not np.any(oscillates | grows)
+    return regular, float(per_anchor.max(initial=0.0)), per_anchor.tolist()
 
 
 def _field_matrices(field, dom, points, start=0):
@@ -163,48 +154,47 @@ def _field_matrices(field, dom, points, start=0):
     return np.concatenate([head, tail]), head_bad + tail_bad
 
 
-def _collect_samples(field, dom, rays, warnings):
-    anchors = np.repeat(np.arange(len(rays)), [len(ray.depths) for ray in rays])
-    depths = np.concatenate([ray.depths for ray in rays])
+def _collect_samples(field, dom, rays, depths, warnings):
+    """Evaluate every ray point at once.  Returns the kept samples, the
+    (anchors, depths) margin table and the (anchors, depths, d, d) unit
+    direction table, both NaN at an excluded sample (the directions also
+    below DIRECTION_FLOOR), and the excluded count."""
+    n_depths = len(depths)
     points = np.concatenate([ray.points for ray in rays])
     mats, singular = _field_matrices(field, dom, points)
     kept = np.ones(len(points), dtype=bool)
     for i, err in singular:
-        warnings.append(f"anchor {anchors[i]} depth {depths[i]:g}: sample excluded ({err})")
+        warnings.append(f"anchor {i // n_depths} depth {depths[i % n_depths]:g}: "
+                        f"sample excluded ({err})")
         kept[i] = False
-    anchors, depths, points, mats = anchors[kept], depths[kept], points[kept], mats[kept]
-    dist = np.asarray(dom.distance(points), dtype=float)
-    nsp = norm_sp_batch(mats)
+    kept_mats = mats[kept]
+    dist = np.asarray(dom.distance(points[kept]), dtype=float)
+    nsp = norm_sp_batch(kept_mats)
     margin = nsp * dist * dist
-    unit = mats / np.where(nsp < DIRECTION_FLOOR, 1.0, nsp)[:, None, None]
+    margins = np.full(len(points), np.nan)
+    margins[kept] = margin
+    directions = np.full(mats.shape, np.nan)
+    directions[kept] = kept_mats / np.where(nsp < DIRECTION_FLOOR, np.nan, nsp)[:, None, None]
     samples = [
-        MarginSample(
-            anchor=int(anchors[i]),
-            depth=float(depths[i]),
-            point=points[i],
-            distance=float(dist[i]),
-            norm_sp=float(nsp[i]),
-            margin=float(margin[i]),
-            direction=None if nsp[i] < DIRECTION_FLOOR else unit[i],
-        )
-        for i in range(len(points))
+        MarginSample(anchor=int(i // n_depths), depth=depths[i % n_depths], point=points[i],
+                     distance=float(r), norm_sp=float(b), margin=float(c))
+        for i, r, b, c in zip(np.flatnonzero(kept), dist, nsp, margin)
     ]
-    directions_by_anchor = [[] for _ in rays]
-    for s in samples:
-        directions_by_anchor[s.anchor].append(s.direction)
-    return samples, directions_by_anchor, len(singular)
+    shape = (len(rays), n_depths)
+    return samples, margins.reshape(shape), directions.reshape(shape + mats.shape[1:]), len(singular)
 
 
-def _liminf_estimate(samples):
-    """Min margin over the smallest realized depth per anchor."""
-    by_anchor = {}
-    for s in samples:
-        cur = by_anchor.get(s.anchor)
-        if cur is None or s.depth < cur.depth:
-            by_anchor[s.anchor] = s
-    if not by_anchor:
+def _liminf_estimate(margins):
+    """Min margin over the smallest realized depth per anchor.
+
+    margins: (anchors, depths) with depths largest first, NaN where excluded.
+    """
+    present = ~np.isnan(margins)
+    last = margins.shape[1] - 1 - np.argmax(present[:, ::-1], axis=1)
+    deepest = margins[np.arange(len(margins)), last][present.any(axis=1)]
+    if deepest.size == 0:
         raise ValidationError("every sample was excluded; nothing to estimate")
-    return min(s.margin for s in by_anchor.values())
+    return float(deepest.min())
 
 
 def _decide(kind, dim, liminf, regular, eta0, warnings):
@@ -244,21 +234,24 @@ def default_depths(dom):
 def _scan(field, dom, n_anchors, depths, seed):
     """Sample the field along seeded inward rays: the one scan core.
 
-    Returns (samples, directions by anchor, excluded count, warnings, params).
+    The depth ladder is sorted largest first, so the samples, the tables and
+    the verdict do not depend on the order in which it was given.  Returns
+    (samples, margin table, direction table, excluded count, warnings, params).
     """
     rng = np.random.default_rng(seed)
-    depths = list(depths) if depths is not None else default_depths(dom)
+    depths = default_depths(dom) if depths is None else depths
+    depths = sorted((float(d) for d in depths), reverse=True)
     rays = dom.near_boundary_rays(n_anchors, depths, rng)
     warnings: list = []
-    samples, dirs, excluded = _collect_samples(field, dom, rays, warnings)
-    params = {"n_anchors": int(n_anchors), "depths": [float(d) for d in depths],
-              "seed": int(seed)}
-    return samples, dirs, excluded, warnings, params
+    samples, margins, dirs, excluded = _collect_samples(field, dom, rays, depths, warnings)
+    params = {"n_anchors": int(n_anchors), "depths": depths, "seed": int(seed)}
+    return samples, margins, dirs, excluded, warnings, params
 
 
 def _criterion(kind, field, dom, n_anchors, depths, eta0, seed):
-    samples, dirs, excluded, warnings, params = _scan(field, dom, n_anchors, depths, seed)
-    liminf = _liminf_estimate(samples)
+    samples, margins, dirs, excluded, warnings, params = _scan(
+        field, dom, n_anchors, depths, seed)
+    liminf = _liminf_estimate(margins)
     regular, osc, _ = direction_regularity(dirs)
     verdict, basis = _decide(kind, dom.dim, liminf, regular, eta0, warnings)
     return CriterionReport(
@@ -311,7 +304,7 @@ def scan_directions(field, dom=None, n_anchors=DEFAULT_ANCHORS, depths=None,
         raise ValidationError("direction scan needs a domain (field carries none)")
     if isinstance(dom, PuncturedSpace):
         dom = PuncturedSpace(field.dim)
-    _, dirs, excluded, warnings, params = _scan(field, dom, n_anchors, depths, seed)
+    _, _, dirs, excluded, warnings, params = _scan(field, dom, n_anchors, depths, seed)
     regular, worst, per_anchor = direction_regularity(dirs)
     return {
         "regular": bool(regular),

@@ -136,8 +136,18 @@ class Domain(JsonKind, ABC):
         -------
         list of Ray
         """
+        depths = self._ray_depths(n_points, depths)
+        anchors, inwards = self._anchors(int(n_points), rng)
+        rays = []
+        for a, nvec in zip(anchors, inwards):
+            pts = a[None, :] + depths[:, None] * nvec[None, :]
+            rays.append(Ray(anchor=a, inward=nvec, depths=depths.copy(), points=pts))
+        return rays
+
+    def _ray_depths(self, n_points, depths):
+        """Check the anchor count and depths of every ``near_boundary_rays``."""
         depths = np.asarray(depths, dtype=float).reshape(-1)
-        if depths.size == 0 or np.any(depths <= 0):
+        if depths.size == 0 or not np.all(depths > 0):
             raise RangeError("depths must be strictly positive")
         if np.any(depths >= self.inradius()):
             raise RangeError(
@@ -145,12 +155,7 @@ class Domain(JsonKind, ABC):
             )
         if n_points < 1:
             raise RangeError("need at least one anchor")
-        anchors, inwards = self._anchors(int(n_points), rng)
-        rays = []
-        for a, nvec in zip(anchors, inwards):
-            pts = a[None, :] + depths[:, None] * nvec[None, :]
-            rays.append(Ray(anchor=a, inward=nvec, depths=depths.copy(), points=pts))
-        return rays
+        return depths
 
     def sample_interior(self, n, rng, min_depth=0.0):
         """Rejection-sample n interior points (optionally at depth >= min_depth)."""
@@ -519,9 +524,7 @@ class PuncturedSpace(Domain):
         return np.zeros((n, self.dim)), dirs
 
     def near_boundary_rays(self, n_points, depths, rng=None):
-        depths = np.asarray(depths, dtype=float).reshape(-1)
-        if depths.size == 0 or np.any(depths <= 0):
-            raise RangeError("depths must be strictly positive")
+        depths = self._ray_depths(n_points, depths)
         _, dirs = self._anchors(int(n_points), rng)
         rays = []
         for u in dirs:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confinement_lab.criterion import (
     BELOW_THRESHOLD,
@@ -10,15 +12,19 @@ from confinement_lab.criterion import (
     CONFINING_D2_PLANAR,
     CONFINING_SINGULAR_POINT,
     INCONCLUSIVE_GAP,
+    OSCILLATION_TOL,
+    TREND_FLOOR,
+    TREND_SLACK,
     CriterionReport,
     default_depths,
     direction_regularity,
+    scan_directions,
     scan_margin,
     singular_point_criterion,
 )
 from confinement_lab.domains import Ball3D, Disk2D, PuncturedSpace, SolidTorus3D
-from confinement_lab.errors import SingularityError, ValidationError
-from confinement_lab.exterior import axial_two_form, norm_sp_batch
+from confinement_lab.errors import RangeError, SingularityError, ValidationError
+from confinement_lab.exterior import axial_matrices, axial_two_form, norm_sp_batch
 from confinement_lab.fields import (
     ConstantField,
     DipoleField,
@@ -75,6 +81,87 @@ class SpinningDirectionField(MagneticField):
         mats[..., 2, 0] = v[..., 1]
         mats[..., 0, 2] = -v[..., 1]
         return mats
+
+
+class TiltingDirectionField(MagneticField):
+    """Test helper: axial vector (2/D^2)(0.3 D, 0, 1), margin 2 sqrt(1 + 0.09 D^2).
+
+    The direction tends to e_z and its steps shrink with the depth, so the
+    field is regular when the ladder runs largest first.
+    """
+
+    kind = "test_tilting"
+
+    def __init__(self, dom):
+        self.domain = dom
+        self.dim = 3
+
+    def field_matrix_batch(self, x, domain=None, step=None):
+        d = np.asarray(self.domain.distance(np.asarray(x, dtype=float)), dtype=float)
+        v = np.stack([0.3 * d, np.zeros_like(d), np.ones_like(d)], axis=-1)
+        return axial_matrices(v * (2.0 / d**2)[..., None])
+
+
+def _direction_distance(a, b):
+    d = a - b
+    iu = np.triu_indices(d.shape[0], k=1)
+    return float(np.sqrt(np.sum(d[iu] ** 2)))
+
+
+def direction_regularity_loop(directions_by_anchor, tol=OSCILLATION_TOL,
+                              slack=TREND_SLACK, floor=TREND_FLOOR):
+    """Reference for ``direction_regularity``: a loop over anchors and
+    direction pairs.  directions_by_anchor holds per anchor the unit-form
+    matrices from the largest depth to the smallest, None where missing."""
+    worst = 0.0
+    per_anchor = []
+    regular = True
+    for dirs in directions_by_anchor:
+        dirs = [d for d in dirs if d is not None]
+        if len(dirs) < 2:
+            per_anchor.append(0.0)
+            continue
+        pairwise = [
+            _direction_distance(dirs[i], dirs[j])
+            for i in range(len(dirs))
+            for j in range(i + 1, len(dirs))
+        ]
+        osc = max(pairwise)
+        per_anchor.append(osc)
+        worst = max(worst, osc)
+        if osc >= tol:
+            regular = False
+            continue
+        steps = [_direction_distance(dirs[k], dirs[k + 1]) for k in range(len(dirs) - 1)]
+        if len(steps) >= 2 and steps[-1] > slack * steps[0] + floor:
+            regular = False
+    return regular, worst, per_anchor
+
+
+@st.composite
+def direction_tables(draw):
+    """(anchors, depths, d, d) unit-form tables.  Each ray is one random
+    direction perturbed at each depth by a size that shrinks or grows along
+    the ray, from 1e-7 to order one.  NaN holes fall anywhere, inside a ray
+    too, and a ray may have no direction at all."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    n_depths = draw(st.integers(1, 6))
+    n_anchors = draw(st.integers(1, 8))
+    start = draw(st.floats(-5.0, 0.5))
+    shrink = draw(st.floats(-1.5, 1.5))
+    hole_rate = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponent = start - shrink * np.arange(n_depths) + 0.3 * rng.normal(size=(n_anchors, n_depths))
+    scale = 10.0 ** np.clip(exponent, -7.0, 0.5)[..., None, None]
+    raw = (rng.normal(size=(n_anchors, 1, d, d))
+           + scale * rng.normal(size=(n_anchors, n_depths, d, d)))
+    skew = raw - np.swapaxes(raw, -1, -2)
+    table = skew / norm_sp_batch(skew)[..., None, None]
+    holes = rng.random((n_anchors, n_depths)) < hole_rate
+    if draw(st.booleans()):
+        holes[rng.integers(n_anchors)] = True
+    table[holes] = np.nan
+    return table
 
 
 class TestVerdicts:
@@ -198,9 +285,15 @@ class TestDirectionRegularity:
         assert osc < 1e-3
 
     def test_missing_directions_skipped(self):
-        dirs = [None, None, None]
-        regular, osc, per = direction_regularity([dirs])
+        dirs = np.full((1, 3, 2, 2), np.nan)
+        regular, osc, per = direction_regularity(dirs)
         assert regular and osc == 0.0
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(direction_tables(), st.floats(0.01, 3.0))
+    def test_matches_loop_reference(self, table, tol):
+        lists = [[None if np.isnan(m).any() else m for m in ray] for ray in table]
+        assert direction_regularity(table, tol=tol) == direction_regularity_loop(lists, tol=tol)
 
 
 class TestSamplingMechanics:
@@ -275,6 +368,34 @@ class TestSamplingMechanics:
         report = scan_margin(DiskCounterexampleField(0.4), depths=[0.05, 0.01], n_anchors=8)
         assert report.params["depths"] == [0.05, 0.01]
         assert {s.depth for s in report.samples} == {0.05, 0.01}
+
+    @pytest.mark.parametrize("depths", [[1e-4, 1e-3, 1e-2, 1e-1], [1e-3, 1e-1, 1e-4, 1e-2]])
+    def test_depth_order_does_not_change_the_scan(self, depths):
+        dom = Ball3D(1.0)
+        field = TiltingDirectionField(dom)
+        ladder = [1e-1, 1e-2, 1e-3, 1e-4]
+        ref = scan_margin(field, dom, depths=ladder)
+        report = scan_margin(field, dom, depths=depths)
+        assert ref.verdict == report.verdict == CONFINING_D2
+        assert ref.direction_regular and report.direction_regular
+        assert report.liminf_estimate == ref.liminf_estimate
+        assert report.direction_oscillation == ref.direction_oscillation
+        assert report.params["depths"] == ladder
+        assert report.to_csv() == ref.to_csv()
+        directions = scan_directions(field, dom, depths=depths)
+        assert directions["regular"]
+        assert directions == scan_directions(field, dom, depths=ladder)
+
+    @pytest.mark.parametrize("scan", [scan_margin, scan_directions])
+    @pytest.mark.parametrize("field", [DiskCounterexampleField(0.5), MonopoleField(3)],
+                             ids=["disk", "punctured"])
+    def test_zero_anchors_rejected(self, scan, field):
+        with pytest.raises(RangeError, match="need at least one anchor"):
+            scan(field, n_anchors=0)
+
+    def test_nan_depth_rejected(self):
+        with pytest.raises(RangeError, match="strictly positive"):
+            scan_margin(DiskCounterexampleField(0.5), depths=[0.1, math.nan])
 
     def test_punctured_domain_dispatches_to_singular_point(self):
         report = scan_margin(MonopoleField(4), PuncturedSpace(3))
