@@ -159,14 +159,15 @@ class LatticeOperator:
 
     def _check_residuals(self, vals, vecs):
         scale = max(1.0, spla.norm(self.matrix, np.inf))
-        for i, lam in enumerate(vals):
-            v = vecs[:, i]
-            res = np.linalg.norm(self.matrix @ v - lam * v) / np.linalg.norm(v)
-            if res > RESIDUAL_RTOL * scale:
-                raise SolverError(
-                    f"eigenpair {i} residual {res:.3e} exceeds {RESIDUAL_RTOL:.0e} * |H| = "
-                    f"{RESIDUAL_RTOL * scale:.3e}"
-                )
+        res = (np.linalg.norm(self.matrix @ vecs - vecs * vals, axis=0)
+               / np.linalg.norm(vecs, axis=0))
+        bad = np.flatnonzero(res > RESIDUAL_RTOL * scale)
+        if bad.size:
+            i = bad[0]
+            raise SolverError(
+                f"eigenpair {i} residual {res[i]:.3e} exceeds {RESIDUAL_RTOL:.0e} * |H| = "
+                f"{RESIDUAL_RTOL * scale:.3e}"
+            )
 
     def lowest_eigenvalues(self, k=1, dense_cutoff=DENSE_CUTOFF):
         """k smallest eigenpairs, residual-checked.
@@ -198,6 +199,18 @@ def gershgorin_lower_bound(A):
     return float(np.min(diag - (row_abs - np.abs(A.diagonal()))))
 
 
+def _negative_pivots(lu):
+    """Number of eigenvalues below the shift of a symmetric-mode factor.
+
+    None when SuperLU pivoted off the diagonal (it does so at an exactly
+    zero diagonal entry): with perm_r != perm_c the signs of U's pivots
+    say nothing about the inertia.  Reading ``lu.U`` copies U.
+    """
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal().real < 0.0))
+
+
 def lowest_pairs(A, k, rtol, sigma=None, maxiter=600, seed=0):
     """k lowest eigenpairs of a sparse Hermitian matrix, possibly indefinite.
 
@@ -208,9 +221,16 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600, seed=0):
       near-degenerate lowest band (a Landau level in a large box splits only
       at the 1e-3 level or finer, and Ritz values separate geometrically
       only once the block spans the band);
-    * the shift advances to the certified bound theta_1 - 4 |r_1| once the
-      first Ritz pair is reasonably converged, which collapses the remaining
-      error when the initial shift (a Gershgorin bound) is far below.
+    * the shift advances to the bound theta_1 - 4 |r_1| once the first Ritz
+      pair is reasonably converged, which collapses the remaining error when
+      the initial shift (a Gershgorin bound) is far below.
+
+    A - shift I is factored by SuperLU in symmetric mode (MMD on A^T + A,
+    diagonal pivots only), which halves the fill of the default ordering.
+    With perm_r == perm_c the count of negative pivots of U is the number
+    of eigenvalues below the shift (Sylvester's law of inertia), so an
+    advance is kept only when that count is zero; otherwise the current
+    factorization stays and the shift stops advancing.
 
     ``sigma`` must not exceed the smallest eigenvalue; None uses the
     Gershgorin bound.  Residuals are measured against rtol * |A|_inf.
@@ -226,8 +246,11 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600, seed=0):
     def factor(shift):
         for _ in range(3):
             try:
-                return spla.splu(A - shift * identity), shift
-            except Exception:
+                return spla.splu(
+                    A - shift * identity, permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+                ), shift
+            except RuntimeError:
                 shift -= max(1e-8 * (1.0 + abs(shift)), 1e-10)
         raise SolverError(f"factorization failed near shift {shift:.6e}")
 
@@ -238,8 +261,7 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600, seed=0):
     X = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
     X, _ = np.linalg.qr(X)
     window, prev_res = 8, np.inf
-    best_theta, advances_ok, stash = np.inf, True, None
-    last_res = np.inf
+    advances_ok, last_res = True, np.inf
     for it in range(maxiter):
         Y = lu.solve(X)
         if not np.all(np.isfinite(Y)):
@@ -255,26 +277,22 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600, seed=0):
         if last_res <= target:
             return theta[:k].real, X[:, :k]
         if it % window == window - 1:
-            # A shift past the true minimum makes the Ritz floor drift back
-            # up; revert to the stashed factorization and stop advancing.
-            if theta[0] > best_theta + max(10.0 * target, 1e-12 * scale) and stash:
-                lu, sigma = stash
-                advances_ok, stash = False, None
-            else:
-                gap = theta[0] - sigma
-                cand = theta[0] - 4.0 * float(rnorms[0])
-                if (advances_ok and it >= 3 * window
-                        and cand > sigma + 0.05 * gap
-                        and rnorms[0] <= 0.05 * gap):
-                    stash = (lu, sigma)
-                    lu, sigma = factor(cand)
-                elif last_res > 0.5 * prev_res and m < m_cap:
-                    grow = min(m, m_cap - m)
-                    F = rng.normal(size=(n, grow)) + 1j * rng.normal(size=(n, grow))
-                    X, _ = np.linalg.qr(np.hstack([X, F]))
-                    m += grow
+            gap = theta[0] - sigma
+            cand = theta[0] - 4.0 * float(rnorms[0])
+            if (advances_ok and it >= 3 * window
+                    and cand > sigma + 0.05 * gap
+                    and rnorms[0] <= 0.05 * gap):
+                cand_lu, cand = factor(cand)
+                if _negative_pivots(cand_lu) == 0:
+                    lu, sigma = cand_lu, cand
+                else:
+                    advances_ok = False
+            elif last_res > 0.5 * prev_res and m < m_cap:
+                grow = min(m, m_cap - m)
+                F = rng.normal(size=(n, grow)) + 1j * rng.normal(size=(n, grow))
+                X, _ = np.linalg.qr(np.hstack([X, F]))
+                m += grow
             prev_res = last_res
-        best_theta = min(best_theta, float(theta[0]))
     raise SolverError(
         f"inverse iteration stalled at residual {last_res:.3e} "
         f"(target {rtol:.0e} * |A| = {target:.3e}, block {m}, shift {sigma:.6e})"

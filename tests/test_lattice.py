@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from confinement_lab.domains import Disk2D, PuncturedSpace, axis_box, rotated_unit_square
 from confinement_lab.errors import (
@@ -35,7 +36,8 @@ from confinement_lab.lattice import (
     plaquette_phases,
     weighted_norm_sq,
 )
-from confinement_lab.lattice import _trial_vectors
+from confinement_lab import lattice
+from confinement_lab.lattice import _negative_pivots, _trial_vectors
 
 J01_SQ = 5.783185962946785   # squared first zero of J0: disk Dirichlet ground value
 LANDAU_SIDE10 = 0.9922212013325
@@ -268,6 +270,78 @@ def test_lowest_pairs_maxiter_raises():
                   axis_box([-5.0, -5.0], [5.0, 5.0]), 0.25)
     with pytest.raises(SolverError):
         lowest_pairs(op.matrix, 1, rtol=1e-8, sigma=0.0, maxiter=2)
+
+
+def _symmetric_factor(A):
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
+def test_negative_pivots_count_eigenvalues_below_the_shift():
+    rng = np.random.default_rng(3)
+    n = 60
+    M = (sp.random(n, n, density=0.08, random_state=rng)
+         + 1j * sp.random(n, n, density=0.08, random_state=rng))
+    H = (M + M.conj().T + sp.diags(rng.normal(size=n))).tocsc()
+    exact = np.linalg.eigvalsh(H.toarray())
+    identity = sp.identity(n, dtype=complex, format="csc")
+    for shift in (-5.0, -1.0, 0.0, 0.5, 2.0):
+        got = _negative_pivots(_symmetric_factor(H - shift * identity))
+        assert got == np.sum(exact < shift)
+
+
+def test_negative_pivots_refused_after_off_diagonal_pivot():
+    lu = _symmetric_factor(sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    assert not np.array_equal(lu.perm_r, lu.perm_c)
+    assert _negative_pivots(lu) is None
+
+
+def test_shift_advances_keep_inertia_free_factors(monkeypatch):
+    factors = []
+    splu = lattice.spla.splu
+
+    def recording_splu(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        factors.append(lu)
+        return lu
+
+    monkeypatch.setattr(lattice.spla, "splu", recording_splu)
+    op = assemble(ConstantField(plane_two_form(1.0)),
+                  axis_box([-10.0, -10.0], [10.0, 10.0]), 0.25)
+    assert op.n_sites == 6400
+    vals, _ = op.lowest_eigenvalues(k=1)
+    assert len(factors) == 4   # the zero shift and three accepted advances
+    for lu in factors:
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert _negative_pivots(lu) == 0
+    assert vals[0] == pytest.approx(0.9922075306392442, rel=1e-12)
+
+
+def test_singular_shift_retried_below(monkeypatch):
+    errors = []
+    splu = lattice.spla.splu
+
+    def recording_splu(*args, **kwargs):
+        try:
+            return splu(*args, **kwargs)
+        except RuntimeError as err:
+            errors.append(err)
+            raise
+
+    monkeypatch.setattr(lattice.spla, "splu", recording_splu)
+    A = sp.diags(np.arange(50.0)).tocsc().astype(complex)
+    vals, _ = lowest_pairs(A, 1, rtol=1e-8, sigma=0.0)
+    assert len(errors) == 1
+    assert abs(vals[0]) < 1e-12
+
+
+def test_factor_errors_other_than_singularity_propagate(monkeypatch):
+    def failing_splu(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(lattice.spla, "splu", failing_splu)
+    with pytest.raises(MemoryError):
+        lowest_pairs(sp.diags(np.arange(1.0, 51.0)).tocsc(), 1, rtol=1e-8, sigma=0.0)
 
 
 def test_k_range_validated():
