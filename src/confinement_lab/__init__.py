@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     AssemblyError,
-    ChartRankError,
     ConfinementError,
     DomainError,
     RangeError,
@@ -23,7 +22,6 @@ from .errors import (
 __all__ = [
     "__version__",
     "AssemblyError",
-    "ChartRankError",
     "ConfinementError",
     "DomainError",
     "RangeError",

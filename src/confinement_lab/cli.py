@@ -871,7 +871,9 @@ def _reproduce(thresholds_arg):
 
 
 def _set_threads(n):
-    n = str(max(1, n))
+    if n < 1:
+        raise SpecError("'--threads' must be a positive integer")
+    n = str(n)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ[var] = n
@@ -908,9 +910,9 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if getattr(args, "threads", None):
-        _set_threads(args.threads)
     try:
+        if getattr(args, "threads", None) is not None:
+            _set_threads(args.threads)
         if args.command == "run":
             return _run_spec(args.spec, args.out, args.seed, args.dump_matrix)
         if args.command == "validate":

@@ -21,10 +21,6 @@ class SingularityError(ConfinementError, ArithmeticError):
     """Field or potential evaluated on its singular locus."""
 
 
-class ChartRankError(ConfinementError, ValueError):
-    """Degenerate chart Jacobian in a surface computation."""
-
-
 class AssemblyError(ConfinementError, RuntimeError):
     """Lattice operator assembly failed (e.g. singular potential on a retained edge)."""
 

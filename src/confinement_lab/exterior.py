@@ -12,15 +12,10 @@ of the associated magnetic Hamiltonian, which is what makes it the right
 pointwise weight for confinement bounds.
 """
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional
-
 import numpy as np
 
-from .errors import ChartRankError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 
-# Pair-matching tolerance for singular values of a skew matrix (relative).
-PAIRING_TOL = 1e-9
 # Antisymmetry tolerance for TwoForm input (relative to the largest entry).
 SKEW_TOL = 1e-12
 # A two-form below this spectral norm has no well-defined direction.
@@ -53,45 +48,8 @@ class TwoForm:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def __add__(self, other):
-        return TwoForm(self.entries + other.entries)
-
-    def __sub__(self, other):
-        return TwoForm(self.entries - other.entries)
-
-    def __mul__(self, c):
-        return TwoForm(self.entries * float(c))
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"TwoForm(dim={self.dim}, entries={self.entries.tolist()})"
-
-
-@dataclass
-class CoVector:
-    """One-form at a point (a row of coefficients against dx_1 ... dx_d)."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=float).reshape(-1)
-
-    @property
-    def dim(self) -> int:
-        return self.components.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
-
-
-@dataclass
-class SpectralDecomposition:
-    """Paired singular values of a skew matrix, their sum, and the unit direction."""
-
-    pairs: np.ndarray            # nonincreasing, length floor(d/2)
-    norm_sp: float               # sum of pairs = half the trace norm
-    direction: Optional[TwoForm]  # B / |B|_sp, or None below DIRECTION_FLOOR
 
 
 def plane_two_form(b: float, dim: int = 2) -> TwoForm:
@@ -110,76 +68,6 @@ def axial_matrices(v) -> np.ndarray:
     return mats
 
 
-def axial_two_form(v) -> TwoForm:
-    """d = 3 two-form with axial vector v: v_1 dy^dz + v_2 dz^dx + v_3 dx^dy."""
-    return TwoForm(axial_matrices(np.asarray(v, dtype=float).reshape(3)))
-
-
-def axial_vector(B: TwoForm) -> np.ndarray:
-    """Inverse of axial_two_form (d = 3 only)."""
-    if B.dim != 3:
-        raise ValidationError("axial vector is defined for d = 3 only")
-    m = B.entries
-    return np.array([m[1, 2], m[2, 0], m[0, 1]])
-
-
-def _as_skew_matrix(B) -> np.ndarray:
-    if isinstance(B, TwoForm):
-        return B.entries
-    return TwoForm(B).entries
-
-
-def spectral_norm(B) -> SpectralDecomposition:
-    """Spectral decomposition of a two-form.
-
-    Parameters
-    ----------
-    B : TwoForm or array_like
-        Antisymmetric d x d coefficient matrix.
-
-    Returns
-    -------
-    SpectralDecomposition
-        Paired singular values (nonincreasing), their sum, and the direction
-        B / |B|_sp (None when the norm is below ``DIRECTION_FLOOR``).
-
-    Notes
-    -----
-    Singular values are obtained from a symmetric eigensolve of B^T B.  For a
-    genuine skew matrix they occur in equal pairs, with one extra zero in odd
-    dimension; a leftover unpaired singular value beyond the pairing tolerance
-    means the input was not a two-form and raises ValidationError.
-    """
-    m = _as_skew_matrix(B)
-    d = m.shape[0]
-    if d == 0:
-        raise ValidationError("empty two-form")
-    # Eigenvalues of B^T B are the squared singular values.  Pairing is
-    # checked on these eigenvalues directly: taking square roots first would
-    # amplify machine noise near zero from eps to sqrt(eps).
-    w = np.linalg.eigvalsh(m.T @ m)[::-1]  # nonincreasing
-    w = np.clip(w, 0.0, None)
-    wscale = max(1.0, float(w[0]))
-    n_pairs = d // 2
-    for j in range(n_pairs):
-        if abs(w[2 * j] - w[2 * j + 1]) > PAIRING_TOL * wscale:
-            raise ValidationError(
-                "singular values of a skew matrix must pair up; got squared values "
-                f"{w[2 * j]:.12e} vs {w[2 * j + 1]:.12e}"
-            )
-    if d % 2 == 1 and w[-1] > PAIRING_TOL * wscale:
-        raise ValidationError(
-            f"odd-dimension skew matrix must have a zero singular value, got {np.sqrt(w[-1]):.3e}"
-        )
-    svals = np.sqrt(w)
-    pairs = svals[0 : 2 * n_pairs : 2].copy()
-    norm = float(np.sum(pairs))
-    direction = None
-    if norm >= DIRECTION_FLOOR:
-        direction = TwoForm(m / norm)
-    return SpectralDecomposition(pairs=pairs, norm_sp=norm, direction=direction)
-
-
 def norm_sp_batch(mats: np.ndarray) -> np.ndarray:
     """Spectral norms of a stack of skew matrices, shape (..., d, d) -> (...)."""
     mats = np.asarray(mats, dtype=float)
@@ -192,23 +80,6 @@ def norm_sp_batch(mats: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(np.swapaxes(mats, -1, -2) @ mats)
     svals = np.sqrt(np.clip(w, 0.0, None))[..., ::-1]
     return np.sum(svals[..., 0 : 2 * (d // 2) : 2], axis=-1)
-
-
-@dataclass
-class PotentialField:
-    """A magnetic potential one-form, with an optional closed-form derivative.
-
-    ``potential`` maps points of shape (..., d) to coefficient arrays of the
-    same shape.  When ``field`` is provided it must return the (..., d, d)
-    antisymmetric coefficient matrices of dA and is used instead of finite
-    differences.
-    """
-
-    potential: Callable[[np.ndarray], np.ndarray]
-    dim: int
-    field: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    domain: object = None
-    meta: dict = dataclass_field(default_factory=dict)
 
 
 # Finite-difference step: relative floor plus a fraction of the distance to the
@@ -238,67 +109,3 @@ def central_difference_batch(potential, x, dim, domain=None, step=None) -> np.nd
         dx = h[:, None] * np.eye(dim)[j]
         jac[:, j, :] = (potential(pts + dx) - potential(pts - dx)) / (2.0 * h[:, None])
     return (jac - np.swapaxes(jac, -1, -2)).reshape(x.shape[:-1] + (dim, dim))
-
-
-def exterior_derivative(A: PotentialField, x, step: Optional[float] = None) -> TwoForm:
-    """Two-form dA at a point x of shape (d,).
-
-    Closed-form dA when ``A.field`` is available, otherwise the central
-    difference (dA)_jk = d_j a_k - d_k a_j + O(step^2) of
-    ``central_difference_batch``, whose default step shrinks near the
-    boundary of ``A.domain``.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    d = x.shape[0]
-    if d != A.dim:
-        raise ValidationError(f"point has dimension {d}, potential expects {A.dim}")
-    if A.domain is not None and not A.domain.contains(x):
-        raise DomainError(f"evaluation point {x.tolist()} lies outside the domain")
-    if A.field is not None:
-        return TwoForm(A.field(x))
-    if step is not None and step <= 0:
-        raise ValidationError("finite-difference step must be positive")
-    return TwoForm(central_difference_batch(A.potential, x, d, domain=A.domain, step=step))
-
-
-def pullback_to_surface(A0, chart: Callable, u, step: float = 1e-6) -> CoVector:
-    """Pullback of a one-form on R^d to a parametrized surface.
-
-    Parameters
-    ----------
-    A0 : PotentialField or callable
-        One-form on the ambient space; a bare callable is treated as the
-        potential map.
-    chart : callable
-        Map from (d-1,) parameters to (d,) ambient points.
-    u : array_like, shape (d-1,)
-        Chart parameters of the evaluation point.
-    step : float
-        Central-difference step for the chart Jacobian.
-
-    Returns
-    -------
-    CoVector of dimension d-1 with components sum_j a_j(chart(u)) * dchart_j/du_i.
-
-    Raises
-    ------
-    ChartRankError
-        If the chart Jacobian is rank-deficient at u (degenerate chart).
-    """
-    pot = A0.potential if isinstance(A0, PotentialField) else A0
-    u = np.asarray(u, dtype=float).reshape(-1)
-    p = np.asarray(chart(u), dtype=float).reshape(-1)
-    d = p.shape[0]
-    k = u.shape[0]
-    if k != d - 1:
-        raise ValidationError(f"chart parameters must have dimension d-1 = {d - 1}, got {k}")
-    jac = np.empty((d, k))
-    for i in range(k):
-        du = np.zeros(k)
-        du[i] = step
-        jac[:, i] = (np.asarray(chart(u + du), float) - np.asarray(chart(u - du), float)) / (2 * step)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    if sv[-1] <= 1e-8 * max(sv[0], 1.0):
-        raise ChartRankError(f"degenerate chart Jacobian at u = {u.tolist()}")
-    a = np.asarray(pot(p), dtype=float).reshape(-1)
-    return CoVector(jac.T @ a)

@@ -27,7 +27,7 @@ from . import exterior
 from .domains import (Ball3D, Disk2D, JsonKind, Polytope, PuncturedSpace, SolidTorus3D, _decode,
                       domain_from_json)
 from .errors import DomainError, SingularityError, SolverError, ValidationError
-from .exterior import CoVector, TwoForm, axial_matrices, norm_sp_batch
+from .exterior import TwoForm, axial_matrices
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 _DENOM_TINY = 1e-14
@@ -154,7 +154,7 @@ class MagneticField(JsonKind):
     def potential(self, x):
         raise NotImplementedError
 
-    def field_matrix_batch(self, x, domain=None, step=None):
+    def field_matrix_batch(self, x, domain=None):
         """Closed-form (..., d, d) coefficients of dA, or vectorized central
         differences of the potential when no closed form is printed."""
         x = np.asarray(x, dtype=float)
@@ -162,17 +162,10 @@ class MagneticField(JsonKind):
         if closed is not None:
             return closed
         dom = domain if domain is not None else self.domain
-        return exterior.central_difference_batch(self.potential, x, self.dim, domain=dom, step=step)
+        return exterior.central_difference_batch(self.potential, x, self.dim, domain=dom)
 
     def _closed_field(self, x):
         return None
-
-    def field(self, x, domain=None, step=None) -> TwoForm:
-        return TwoForm(self.field_matrix_batch(np.asarray(x, float), domain=domain, step=step))
-
-    def norm_sp(self, x, domain=None):
-        out = norm_sp_batch(self.field_matrix_batch(x, domain=domain))
-        return float(out) if np.ndim(out) == 0 else out
 
 
 class ConstantField(MagneticField):
@@ -432,13 +425,14 @@ def _row_norms(pts):
     return np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
 
 
-def _center_differences(fn, x, dirs, rel_step, what):
+def _center_differences(fn, x, dirs, what):
     """P(d/dc)|_{c=0} fn(x - c) at points x (..., 3), one row per point: P is the
     product of derivatives along ``dirs``, by nested central differences with
-    steps h = rel_step * |x| and h/2 and one Richardson extrapolation.  All
-    2 * 2^n stencil points of all rows go through ``fn`` in one call."""
+    steps h = 1e-2 * |x| and h/2 and one Richardson extrapolation, which
+    removes the leading O(h^2) error.  All 2 * 2^n stencil points of all rows
+    go through ``fn`` in one call."""
     pts = np.asarray(x, dtype=float).reshape(-1, 3)
-    h = rel_step * _row_norms(pts)
+    h = 1e-2 * _row_norms(pts)
     if np.any(h == 0.0):
         raise SingularityError(f"multipole {what} evaluated at the origin")
     steps = np.stack([h, 0.5 * h])[:, :, None, None]  # (coarse | fine, point, stencil, axis)
@@ -454,19 +448,6 @@ def _center_differences(fn, x, dirs, rel_step, what):
     return (4.0 * vals[1, :, 0] - vals[0, :, 0]) / 3.0
 
 
-def multipole_field(directions, x, rel_step=1e-2):
-    """Degree-n multipole two-form by nested center-parameter differences.
-
-    B_P(x) = P(d/dc)|_{c=0} B_2(x - c) for P the product of directional
-    derivatives along ``directions``; one Richardson extrapolation in the step
-    (scaled by |x|) removes the leading O(h^2) error.
-    """
-    x = np.asarray(x, dtype=float).reshape(3)
-    mats = _center_differences(MonopoleField(2)._closed_field, x, _unit_directions(directions),
-                               rel_step, "field")
-    return TwoForm(mats[0])
-
-
 class MultipoleField(MagneticField):
     """Multipole of arbitrary degree; degree 0 is the charge-2 monopole,
     degree 1 matches the dipole closed form to O(h^2)."""
@@ -480,19 +461,19 @@ class MultipoleField(MagneticField):
         self.dim = 3
         self.domain = PuncturedSpace(3)
 
-    def potential(self, x, rel_step=1e-2):
+    def potential(self, x):
         x = np.asarray(x, dtype=float)
         if self.degree == 0:
             return MonopoleField(2).potential(x)
         out = _center_differences(DipoleField(self.directions[0]).potential, x,
-                                  self.directions[1:], rel_step, "potential")
+                                  self.directions[1:], "potential")
         return out.reshape(x.shape)
 
-    def field_matrix_batch(self, x, domain=None, step=None):
-        # normalized once more, as multipole_field(self.directions, row) does: same bits
+    def field_matrix_batch(self, x, domain=None):
+        # the unit directions are normalized once more: the recorded fields carry these bits
         x = np.asarray(x, dtype=float)
         mats = _center_differences(MonopoleField(2)._closed_field, x,
-                                   _unit_directions(self.directions), 1e-2, "field")
+                                   _unit_directions(self.directions), "field")
         return mats.reshape(x.shape[:-1] + (3, 3))
 
 
@@ -514,26 +495,12 @@ class GaugeShiftField(MagneticField):
     def potential(self, x):
         return self.base.potential(x) + self.polynomial.gradient(x)
 
-    def field_matrix_batch(self, x, domain=None, step=None):
+    def field_matrix_batch(self, x, domain=None):
         # Bit-identical to the base field: the gauge term never enters.
-        return self.base.field_matrix_batch(x, domain=domain, step=step)
+        return self.base.field_matrix_batch(x, domain=domain)
 
     def _closed_field(self, x):
         return self.base._closed_field(x)
-
-
-# ---------------------------------------------------------------------------
-# module-level operations (spec interface)
-
-
-def evaluate_potential(f: MagneticField, x) -> CoVector:
-    """Potential one-form of a catalog field at a point."""
-    return CoVector(f.potential(np.asarray(x, dtype=float)))
-
-
-def evaluate_field(f: MagneticField, x, domain=None, step=None) -> TwoForm:
-    """Field two-form at a point: closed form where printed, else d(potential)."""
-    return f.field(x, domain=domain, step=step)
 
 
 def field_from_json(obj) -> MagneticField:

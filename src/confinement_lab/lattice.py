@@ -450,22 +450,10 @@ def _paired(op, mats, u):
     return total
 
 
-def weighted_norm_sq(op: LatticeOperator, field, u):
-    """h^d sum (1 + |B|_sp^2) |u|^2: the norm the error term is measured in."""
-    return _weighted(op, norm_sp_batch(_site_fields(op, field)), u)
-
-
 def _weighted(op, norms, u):
+    """h^d sum (1 + |B|_sp^2) |u|^2: the norm the error term is measured in."""
     u2 = np.abs(np.asarray(u)) ** 2
     return float(op.grid.h**op.grid.dim * np.sum((1.0 + norms**2) * u2))
-
-
-def form_bound_slack(op, field, u, K):
-    """h_A(u) + K h |u|_w^2 - sum_j |<b_j u, u>|; nonnegative when the
-    discrete form dominates the paired field expectation up to O(h)."""
-    return op.quadratic_form(u) + K * op.grid.h * weighted_norm_sq(op, field, u) - (
-        paired_component_expectation(op, field, u)
-    )
 
 
 def _trial_vectors(op, n_random, seed, n_eigenvectors):
@@ -507,7 +495,10 @@ def calibrate_form_constant(dom, h, field_builder, strengths=(1.0, 3.0),
 
 def commutator_bound_test(field, dom, h, K, delta=0.0, n_random=4, seed=5,
                           n_eigenvectors=2):
-    """Slack rows for random and low-energy trial vectors at one spacing."""
+    """Slack rows for random and low-energy trial vectors at one spacing.
+
+    slack = h_A(u) + K h |u|_w^2 - sum_j |<b_j u, u>|, nonnegative when the
+    discrete form dominates the paired field expectation up to O(h)."""
     op = assemble(field, dom, h, delta=delta)
     mats = _site_fields(op, field)
     norms = norm_sp_batch(mats)
@@ -518,7 +509,7 @@ def commutator_bound_test(field, dom, h, K, delta=0.0, n_random=4, seed=5,
             {
                 "trial": name,
                 "h": h,
-                "slack": form + K * op.grid.h * weighted - paired,  # as form_bound_slack
+                "slack": form + K * op.grid.h * weighted - paired,
                 "form": form,
                 "paired": paired,
                 "weighted_norm_sq": weighted,

@@ -19,7 +19,7 @@ from confinement_lab.domains import (
     polygon_from_vertices,
     rotated_unit_square,
 )
-from confinement_lab.exterior import axial_two_form, norm_sp_batch, plane_two_form, spectral_norm
+from confinement_lab.exterior import axial_matrices, norm_sp_batch, plane_two_form
 from confinement_lab.fields import (
     ConstantField,
     DipoleField,
@@ -63,8 +63,8 @@ def test_ac01_spectral_norm_exactness():
     block = np.zeros((4, 4))
     block[0, 1], block[1, 0] = 3.0, -3.0
     block[2, 3], block[3, 2] = 1.0, -1.0
-    err4 = abs(spectral_norm(block).norm_sp - 4.0)
-    err3 = abs(spectral_norm(axial_two_form([1.0, 2.0, 2.0])).norm_sp - 3.0)
+    err4 = abs(norm_sp_batch(block) - 4.0)
+    err3 = abs(norm_sp_batch(axial_matrices(np.array([1.0, 2.0, 2.0]))) - 3.0)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(1000):
@@ -72,7 +72,7 @@ def test_ac01_spectral_norm_exactness():
         m = rng.normal(size=(d, d))
         skew = m - m.T
         oracle = 0.5 * float(np.sum(np.linalg.svd(skew, compute_uv=False)))
-        worst = max(worst, abs(spectral_norm(skew).norm_sp - oracle))
+        worst = max(worst, abs(norm_sp_batch(skew) - oracle))
     elapsed = time.perf_counter() - t0
     ok = err4 <= 1e-12 and err3 <= 1e-12 and worst <= 1e-10
     _report(

@@ -381,6 +381,21 @@ def test_negative_seed_flag_rejected(tmp_path, capsys):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "reproduce"])
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_nonpositive_threads_rejected(tmp_path, capsys, command, threads):
+    spec = {"schema": 1, "task": "spherical-table", "params": {"m": 1, "k_max": 5}}
+    outdir = tmp_path / "out"
+    argv = [command]
+    if command == "run":
+        argv += [write_spec(tmp_path, spec), "--out", str(outdir)]
+    assert main([*argv, "--threads", threads]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: '--threads' must be a positive integer\n"
+    assert captured.out == ""
+    assert not outdir.exists()
+
+
 def test_cli_import_stays_stdlib_only():
     import subprocess
     import sys

@@ -24,7 +24,7 @@ from confinement_lab.criterion import (
 )
 from confinement_lab.domains import Ball3D, Disk2D, PuncturedSpace, SolidTorus3D
 from confinement_lab.errors import RangeError, SingularityError, ValidationError
-from confinement_lab.exterior import axial_matrices, axial_two_form, norm_sp_batch
+from confinement_lab.exterior import axial_matrices, norm_sp_batch
 from confinement_lab.fields import (
     ConstantField,
     DipoleField,
@@ -47,7 +47,7 @@ class PlanarBlowUpField(MagneticField):
         self.domain = dom
         self.dim = 2
 
-    def field_matrix_batch(self, x, domain=None, step=None):
+    def field_matrix_batch(self, x, domain=None):
         x = np.asarray(x, dtype=float)
         d = self.domain.distance(x)
         b = self.strength / d**2
@@ -66,7 +66,7 @@ class SpinningDirectionField(MagneticField):
         self.domain = dom
         self.dim = 3
 
-    def field_matrix_batch(self, x, domain=None, step=None):
+    def field_matrix_batch(self, x, domain=None):
         x = np.asarray(x, dtype=float)
         d = np.asarray(self.domain.distance(x), dtype=float)
         theta = 50.0 * d
@@ -96,7 +96,7 @@ class TiltingDirectionField(MagneticField):
         self.domain = dom
         self.dim = 3
 
-    def field_matrix_batch(self, x, domain=None, step=None):
+    def field_matrix_batch(self, x, domain=None):
         d = np.asarray(self.domain.distance(np.asarray(x, dtype=float)), dtype=float)
         v = np.stack([0.3 * d, np.zeros_like(d), np.ones_like(d)], axis=-1)
         return axial_matrices(v * (2.0 / d**2)[..., None])
@@ -252,7 +252,7 @@ class TestInvariances:
 class TestDirectionRegularity:
     @staticmethod
     def axial_dirs(vectors):
-        return [axial_two_form(v / np.linalg.norm(v)).entries for v in vectors]
+        return [axial_matrices(v / np.linalg.norm(v)) for v in vectors]
 
     def test_constant_direction_regular(self):
         dirs = self.axial_dirs([np.array([0.0, 0.0, 1.0])] * 4)
@@ -303,10 +303,10 @@ class TestSamplingMechanics:
 
     def test_singular_samples_excluded_with_warning(self):
         class RimSingular(DiskCounterexampleField):
-            def field_matrix_batch(self, x, domain=None, step=None):
+            def field_matrix_batch(self, x, domain=None):
                 if np.linalg.norm(np.asarray(x, float)) > 0.9995:
                     raise SingularityError("test rim singularity")
-                return super().field_matrix_batch(x, domain=domain, step=step)
+                return super().field_matrix_batch(x, domain=domain)
 
         report = scan_margin(RimSingular(0.5))
         assert report.excluded == 64  # the whole smallest-depth ring
@@ -319,9 +319,9 @@ class TestSamplingMechanics:
         class Counting(ToroidalField):
             calls = 0
 
-            def field_matrix_batch(self, x, domain=None, step=None):
+            def field_matrix_batch(self, x, domain=None):
                 Counting.calls += 1
-                return super().field_matrix_batch(x, domain=domain, step=step)
+                return super().field_matrix_batch(x, domain=domain)
 
         report = scan_margin(Counting(2.0, SolidTorus3D(2.0, 1.0)), n_anchors=64)
         assert len(report.samples) == 64 * 4
@@ -333,11 +333,11 @@ class TestSamplingMechanics:
         bad = clean.samples[5 * 4 + 2]  # anchor 5, third depth
 
         class PointSingular(DiskCounterexampleField):
-            def field_matrix_batch(self, x, domain=None, step=None):
+            def field_matrix_batch(self, x, domain=None):
                 pts = np.asarray(x, float).reshape(-1, 2)
                 if np.any(np.all(pts == bad.point, axis=-1)):
                     raise SingularityError("test point singularity")
-                return super().field_matrix_batch(x, domain=domain, step=step)
+                return super().field_matrix_batch(x, domain=domain)
 
         report = scan_margin(PointSingular(0.5))
         assert report.excluded == 1
@@ -354,7 +354,7 @@ class TestSamplingMechanics:
 
     def test_all_excluded_rejected(self):
         class AlwaysSingular(DiskCounterexampleField):
-            def field_matrix_batch(self, x, domain=None, step=None):
+            def field_matrix_batch(self, x, domain=None):
                 raise SingularityError("test")
 
         with pytest.raises(ValidationError):

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from confinement_lab.errors import ChartRankError, ValidationError
+from confinement_lab.errors import ValidationError
 from confinement_lab.exterior import (
-    CoVector,
-    PotentialField,
     TwoForm,
-    axial_two_form,
-    axial_vector,
-    exterior_derivative,
+    axial_matrices,
+    central_difference_batch,
     norm_sp_batch,
     plane_two_form,
-    pullback_to_surface,
-    spectral_norm,
 )
+from confinement_lab.fields import MagneticField
 
 
 def random_skew(rng, d, scale=1.0):
@@ -28,28 +26,25 @@ def half_nuclear_norm(m):
 
 class TestSpectralNorm:
     def test_plane_form_d2(self):
-        dec = spectral_norm(plane_two_form(-2.5))
-        assert dec.norm_sp == pytest.approx(2.5, abs=1e-14)
-        assert dec.pairs.shape == (1,)
+        assert norm_sp_batch(plane_two_form(-2.5).entries) == pytest.approx(2.5, abs=1e-14)
 
     def test_block_diagonal_d4(self):
         m = np.zeros((4, 4))
         m[0, 1], m[1, 0] = 3.0, -3.0
         m[2, 3], m[3, 2] = 1.0, -1.0
-        dec = spectral_norm(TwoForm(m))
-        assert dec.norm_sp == pytest.approx(4.0, abs=1e-12)
-        assert np.allclose(dec.pairs, [3.0, 1.0], atol=1e-12)
+        assert norm_sp_batch(TwoForm(m).entries) == pytest.approx(4.0, abs=1e-12)
 
     def test_axial_d3(self):
-        dec = spectral_norm(axial_two_form([1.0, 2.0, 2.0]))
-        assert dec.norm_sp == pytest.approx(3.0, abs=1e-12)
+        assert norm_sp_batch(axial_matrices(np.array([1.0, 2.0, 2.0]))) == pytest.approx(
+            3.0, abs=1e-12
+        )
 
     def test_matches_half_nuclear_norm_randomly(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
             d = int(rng.integers(2, 7))
             m = random_skew(rng, d, scale=float(rng.uniform(0.1, 10.0)))
-            assert spectral_norm(m).norm_sp == pytest.approx(
+            assert norm_sp_batch(m) == pytest.approx(
                 half_nuclear_norm(m), rel=1e-10, abs=1e-12
             )
 
@@ -57,7 +52,7 @@ class TestSpectralNorm:
         rng = np.random.default_rng(3)
         for _ in range(50):
             v = rng.normal(size=3)
-            assert spectral_norm(axial_two_form(v)).norm_sp == pytest.approx(
+            assert norm_sp_batch(axial_matrices(v)) == pytest.approx(
                 float(np.linalg.norm(v)), rel=1e-12
             )
 
@@ -66,9 +61,7 @@ class TestSpectralNorm:
         for d in (2, 3, 4, 5):
             m = random_skew(rng, d)
             q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-            assert spectral_norm(q.T @ m @ q).norm_sp == pytest.approx(
-                spectral_norm(m).norm_sp, rel=1e-10
-            )
+            assert norm_sp_batch(q.T @ m @ q) == pytest.approx(norm_sp_batch(m), rel=1e-10)
 
     def test_homogeneity_and_triangle(self):
         rng = np.random.default_rng(23)
@@ -76,23 +69,13 @@ class TestSpectralNorm:
             d = int(rng.integers(2, 6))
             a, b = random_skew(rng, d), random_skew(rng, d)
             c = float(rng.uniform(0.1, 5.0))
-            na, nb = spectral_norm(a).norm_sp, spectral_norm(b).norm_sp
-            assert spectral_norm(c * a).norm_sp == pytest.approx(c * na, rel=1e-10)
-            assert spectral_norm(a + b).norm_sp <= na + nb + 1e-10
-
-    def test_zero_form_has_no_direction(self):
-        dec = spectral_norm(np.zeros((3, 3)))
-        assert dec.norm_sp == 0.0
-        assert dec.direction is None
-
-    def test_direction_is_unit(self):
-        m = random_skew(np.random.default_rng(5), 4)
-        dec = spectral_norm(m)
-        assert spectral_norm(dec.direction).norm_sp == pytest.approx(1.0, rel=1e-12)
+            na, nb = norm_sp_batch(a), norm_sp_batch(b)
+            assert norm_sp_batch(c * a) == pytest.approx(c * na, rel=1e-10)
+            assert norm_sp_batch(a + b) <= na + nb + 1e-10
 
     def test_rejects_non_antisymmetric(self):
         with pytest.raises(ValidationError):
-            spectral_norm(np.array([[0.0, 1.0], [1.0, 0.0]]))
+            TwoForm(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_two_form_rejects_nonsquare(self):
         with pytest.raises(ValidationError):
@@ -104,13 +87,32 @@ class TestSpectralNorm:
             mats = np.stack([random_skew(rng, d) for _ in range(20)])
             batch = norm_sp_batch(mats)
             for i in range(20):
-                assert batch[i] == pytest.approx(spectral_norm(mats[i]).norm_sp, rel=1e-10)
+                assert batch[i] == pytest.approx(half_nuclear_norm(mats[i]), rel=1e-10)
 
 
-class TestAxialHelpers:
-    def test_roundtrip(self):
-        v = np.array([0.3, -1.2, 2.0])
-        assert np.allclose(axial_vector(axial_two_form(v)), v)
+@st.composite
+def skew_pairs(draw):
+    """(a, b, q, c): two skew matrices in d = 2..6, an orthogonal q, a scale c > 0."""
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(1e-3, 1e3))
+    a, b = random_skew(rng, d, scale), random_skew(rng, d, scale)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return a, b, q, draw(st.floats(1e-2, 1e2))
+
+
+class TestNormSpProperties:
+    """The production |B|_sp (closed forms in d = 2, 3; eigvalsh for d >= 4)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(skew_pairs())
+    def test_norm_axioms_and_svd_oracle(self, case):
+        a, b, q, c = case
+        na, nb = norm_sp_batch(a), norm_sp_batch(b)
+        assert na == pytest.approx(half_nuclear_norm(a), rel=1e-10, abs=1e-12)
+        assert norm_sp_batch(q.T @ a @ q) == pytest.approx(na, rel=1e-10, abs=1e-12)
+        assert norm_sp_batch(c * a) == pytest.approx(c * na, rel=1e-10, abs=1e-12)
+        assert norm_sp_batch(a + b) <= (na + nb) * (1.0 + 1e-10) + 1e-12
 
 
 class TestExteriorDerivative:
@@ -118,9 +120,8 @@ class TestExteriorDerivative:
         # a = (1/2) B^T x reproduces the constant two-form exactly (central
         # differences are exact on affine components).
         b = np.array([[0.0, 2.0], [-2.0, 0.0]])
-        A = PotentialField(potential=lambda x: 0.5 * (x @ b), dim=2)
-        dA = exterior_derivative(A, [0.3, -0.7])
-        assert np.allclose(dA.entries, b, atol=1e-9)
+        dA = central_difference_batch(lambda x: 0.5 * (x @ b), np.array([0.3, -0.7]), 2)
+        assert np.allclose(dA, b, atol=1e-9)
 
     def test_quadratic_gradient_is_closed(self):
         # d(dF) = 0: the gradient of F = x^2 y + 3y^2 - x z has zero curl; for
@@ -129,73 +130,37 @@ class TestExteriorDerivative:
             x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
             return np.stack([2 * x1 * x2 - x3, x1**2 + 6 * x2, -x1], axis=-1)
 
-        A = PotentialField(potential=grad, dim=3)
         rng = np.random.default_rng(2)
         for _ in range(10):
-            dA = exterior_derivative(A, rng.uniform(-2, 2, size=3))
-            assert np.max(np.abs(dA.entries)) < 1e-8
+            dA = central_difference_batch(grad, rng.uniform(-2, 2, size=3), 3)
+            assert np.max(np.abs(dA)) < 1e-8
 
     def test_closed_form_short_circuits_fd(self):
         calls = {"n": 0}
 
-        def pot(x):
-            calls["n"] += 1
-            return np.zeros_like(x)
+        class Closed(MagneticField):
+            dim = 2
 
-        A = PotentialField(potential=pot, dim=2, field=lambda x: np.array([[0.0, 5.0], [-5.0, 0.0]]))
-        dA = exterior_derivative(A, [0.0, 0.0])
-        assert dA.entries[0, 1] == 5.0
+            def potential(self, x):
+                calls["n"] += 1
+                return np.zeros_like(x)
+
+            def _closed_field(self, x):
+                return np.array([[0.0, 5.0], [-5.0, 0.0]])
+
+        dA = Closed().field_matrix_batch(np.array([0.0, 0.0]))
+        assert dA[0, 1] == 5.0
         assert calls["n"] == 0
 
     def test_fd_order_two(self):
         # a = (0, sin(x)): dA = cos(x) dx^dy; halving the step shrinks the
         # error by about 4.
-        A = PotentialField(
-            potential=lambda x: np.stack([np.zeros_like(x[..., 0]), np.sin(x[..., 0])], axis=-1),
-            dim=2,
-        )
+        def pot(x):
+            return np.stack([np.zeros_like(x[..., 0]), np.sin(x[..., 0])], axis=-1)
+
         x = np.array([0.9, 0.2])
         errs = []
         for h in (1e-2, 5e-3):
-            dA = exterior_derivative(A, x, step=h)
-            errs.append(abs(dA.entries[0, 1] - np.cos(0.9)))
+            dA = central_difference_batch(pot, x, 2, step=h)
+            errs.append(abs(dA[0, 1] - np.cos(0.9)))
         assert errs[0] / errs[1] > 3.5
-
-
-class TestPullback:
-    def chart_sphere(self, u):
-        th, ph = u
-        return np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-
-    @staticmethod
-    def rotation_one_form(p):
-        # x dy - y dx as a coefficient vector.
-        return np.array([-p[1], p[0], 0.0])
-
-    def test_equator_azimuthal_component(self):
-        # Pullback of x dy - y dx to the unit sphere is sin(th)^2 dphi.
-        w = pullback_to_surface(self.rotation_one_form, self.chart_sphere, [np.pi / 2, 0.3])
-        assert w.components[0] == pytest.approx(0.0, abs=1e-8)
-        assert w.components[1] == pytest.approx(1.0, abs=1e-8)
-
-    def test_midlatitude(self):
-        th = 1.0
-        w = pullback_to_surface(self.rotation_one_form, self.chart_sphere, [th, 2.0])
-        assert w.components[1] == pytest.approx(np.sin(th) ** 2, abs=1e-8)
-
-    def test_north_pole_graph_chart_vanishes(self):
-        # Graph chart centered at the north pole; the rotation form vanishes
-        # on the polar axis, so the pullback is the zero covector.
-        def chart(u):
-            return np.array([u[0], u[1], np.sqrt(1.0 - u[0] ** 2 - u[1] ** 2)])
-
-        w = pullback_to_surface(self.rotation_one_form, chart, [0.0, 0.0])
-        assert np.allclose(w.components, 0.0, atol=1e-10)
-        assert isinstance(w, CoVector) and w.dim == 2
-
-    def test_degenerate_chart_raises(self):
-        def collapsed(u):
-            return np.array([u[0], u[0], 0.0])
-
-        with pytest.raises(ChartRankError):
-            pullback_to_surface(self.rotation_one_form, collapsed, [0.1, 0.2])

@@ -18,13 +18,7 @@ from confinement_lab.domains import (
 )
 from confinement_lab import fields
 from confinement_lab.errors import DomainError, SingularityError, SolverError, ValidationError
-from confinement_lab.exterior import (
-    CoVector,
-    PotentialField,
-    TwoForm,
-    exterior_derivative,
-    spectral_norm,
-)
+from confinement_lab.exterior import central_difference_batch, norm_sp_batch
 from confinement_lab.fields import (
     AzimuthalOneForm,
     ConstantField,
@@ -41,10 +35,7 @@ from confinement_lab.fields import (
     _SphereSurface,
     _TorusSurface,
     boundary_one_form_analysis,
-    evaluate_field,
-    evaluate_potential,
     field_from_json,
-    multipole_field,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -115,14 +106,13 @@ class TestConstantField:
         X = RNG.normal(size=(7, 4))
         mats = f.field_matrix_batch(X)
         assert np.allclose(mats, m)
-        assert f.norm_sp(X[0]) == pytest.approx(4.0, abs=1e-12)
+        assert norm_sp_batch(mats[0]) == pytest.approx(4.0, abs=1e-12)
 
     def test_fd_of_potential_recovers_field(self):
         m = np.array([[0.0, 2.5], [-2.5, 0.0]])
         f = ConstantField(m)
-        pf = PotentialField(potential=f.potential, dim=2)
-        B = exterior_derivative(pf, np.array([0.4, 1.1]))
-        assert np.allclose(B.entries, m, atol=1e-9)
+        B = central_difference_batch(f.potential, np.array([0.4, 1.1]), 2)
+        assert np.allclose(B, m, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +131,15 @@ class TestDiskCounterexample:
         f = DiskCounterexampleField(0.7)
         r = np.array([0.2, 0.9, 0.999])
         pts = np.stack([r, np.zeros_like(r)], axis=-1)
-        margins = f.norm_sp(pts) * (1.0 - r) ** 2
+        margins = norm_sp_batch(f.field_matrix_batch(pts)) * (1.0 - r) ** 2
         assert np.allclose(margins, f.margin_exact(r), rtol=1e-12)
 
     def test_fd_matches_closed_form(self):
         f = DiskCounterexampleField(0.5)
-        pf = PotentialField(potential=f.potential, dim=2, domain=Disk2D(1.0))
         for _ in range(5):
             x = RNG.uniform(-0.5, 0.5, size=2)
-            B_fd = exterior_derivative(pf, x)
-            assert np.allclose(B_fd.entries, f.field_matrix_batch(x), rtol=1e-6)
+            B_fd = central_difference_batch(f.potential, x, 2, domain=Disk2D(1.0))
+            assert np.allclose(B_fd, f.field_matrix_batch(x), rtol=1e-6)
 
     def test_alpha_range_enforced(self):
         for bad in (0.0, -0.1, math.sqrt(3) / 2, 0.87, 1.5):
@@ -181,7 +170,7 @@ class TestMonopole:
         f = MonopoleField(-3)
         X = RNG.normal(size=(20, 3))
         r = np.linalg.norm(X, axis=-1)
-        assert np.allclose(f.norm_sp(X) * r**2, 1.5, rtol=1e-12)
+        assert np.allclose(norm_sp_batch(f.field_matrix_batch(X)) * r**2, 1.5, rtol=1e-12)
 
     def test_patches_differentiate_to_the_same_field(self):
         f = MonopoleField(1)
@@ -189,13 +178,9 @@ class TestMonopole:
             x = np.array(x)
             closed = f.field_matrix_batch(x)
             for patch in ("north", "south"):
-                pf = PotentialField(
-                    potential=lambda p, _patch=patch: f.potential(p, patch=_patch),
-                    dim=3,
-                    domain=PuncturedSpace(3),
-                )
-                B = exterior_derivative(pf, x)
-                assert np.allclose(B.entries, closed, rtol=1e-5, atol=1e-8)
+                B = central_difference_batch(lambda p, _patch=patch: f.potential(p, patch=_patch),
+                                             x, 3, domain=PuncturedSpace(3))
+                assert np.allclose(B, closed, rtol=1e-5, atol=1e-8)
 
     def test_patch_difference_is_closed(self):
         # A_N − A_S = m * d(angle): components m (−y, x, 0) / rho^2.
@@ -228,7 +213,7 @@ class TestMonopole:
         f = MonopoleField(5)
         x = np.array([0.3, -1.2, 0.4])
         r = np.linalg.norm(x)
-        radial = f.norm_sp(x) * 4 * math.pi * r**2
+        radial = norm_sp_batch(f.field_matrix_batch(x)) * 4 * math.pi * r**2
         assert radial == pytest.approx(abs(f.flux_through_sphere()), rel=1e-12)
 
     def test_integer_charge_required(self):
@@ -257,22 +242,21 @@ class TestDipole:
         r = np.linalg.norm(X, axis=-1)
         c = X[..., 2] / r
         expect = np.sqrt(3 * c**2 + 1) / r**3
-        assert np.allclose(f.norm_sp(X), expect, rtol=1e-12)
+        assert np.allclose(norm_sp_batch(f.field_matrix_batch(X)), expect, rtol=1e-12)
 
     def test_nonvanishing_and_homogeneous(self):
         f = DipoleField((1.0, -2.0, 0.5))
         X = RNG.normal(size=(50, 3))
-        norms = f.norm_sp(X)
+        norms = norm_sp_batch(f.field_matrix_batch(X))
         assert np.all(norms > 0)
-        assert np.allclose(f.norm_sp(2.0 * X), norms / 8.0, rtol=1e-12)
+        assert np.allclose(norm_sp_batch(f.field_matrix_batch(2.0 * X)), norms / 8.0, rtol=1e-12)
 
     def test_potential_differentiates_to_field(self):
         f = DipoleField((0.3, 0.9, -0.1))
-        pf = PotentialField(potential=f.potential, dim=3, domain=PuncturedSpace(3))
         for _ in range(5):
             x = RNG.normal(size=3)
-            B = exterior_derivative(pf, x)
-            assert np.allclose(B.entries, f.field_matrix_batch(x), rtol=1e-5, atol=1e-8)
+            B = central_difference_batch(f.potential, x, 3, domain=PuncturedSpace(3))
+            assert np.allclose(B, f.field_matrix_batch(x), rtol=1e-5, atol=1e-8)
 
     def test_direction_normalized(self):
         f = DipoleField((0.0, 0.0, 7.0))
@@ -298,7 +282,7 @@ class TestMultipole:
         dip = DipoleField(v)
         for x in ([0.5, 0.2, 0.8], [1.5, -0.4, 0.1], [0.0, 0.0, 2.0]):
             x = np.array(x)
-            B_fd = multipole_field([v], x).entries
+            B_fd = MultipoleField([v]).field_matrix_batch(x)
             assert np.allclose(B_fd, dip.field_matrix_batch(x), rtol=1e-6)
 
     def test_degree_one_potential_matches_dipole(self):
@@ -310,19 +294,19 @@ class TestMultipole:
 
     def test_degree_two_symmetric_in_directions(self):
         x = np.array([0.7, 0.1, 1.1])
-        B1 = multipole_field([(0, 0, 1), (1, 0, 0)], x).entries
-        B2 = multipole_field([(1, 0, 0), (0, 0, 1)], x).entries
+        B1 = MultipoleField([(0, 0, 1), (1, 0, 0)]).field_matrix_batch(x)
+        B2 = MultipoleField([(1, 0, 0), (0, 0, 1)]).field_matrix_batch(x)
         assert np.allclose(B1, B2, rtol=1e-4, atol=1e-8)
 
     def test_origin_rejected(self):
         with pytest.raises(SingularityError):
-            multipole_field([(0, 0, 1)], np.zeros(3))
+            MultipoleField([(0, 0, 1)]).field_matrix_batch(np.zeros(3))
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValidationError, match="multipole direction must be nonzero"):
             MultipoleField([(0, 0, 0), (1, 0, 0)])
         with pytest.raises(ValidationError, match="multipole direction must be nonzero"):
-            multipole_field([(0, 0, 0)], np.ones(3))
+            MultipoleField([(0, 0, 0)])
 
     @staticmethod
     def nested_reference(fn, pt, dirs, rel_step=1e-2):
@@ -349,7 +333,6 @@ class TestMultipole:
             ref = self.nested_reference(MonopoleField(2)._closed_field, x, unit)
             np.testing.assert_array_equal(mat, ref)
             np.testing.assert_array_equal(mat, f.field_matrix_batch(x))
-            np.testing.assert_array_equal(mat, multipole_field(f.directions, x).entries)
             if degree:
                 ref = self.nested_reference(DipoleField(f.directions[0]).potential, x,
                                             f.directions[1:])
@@ -383,7 +366,7 @@ class TestPolytopeField:
         dom = polygon_from_vertices([(0.1, 0.0), (1.3, 0.4), (0.6, 1.5)])
         f = PolytopeField(dom)
         pts = dom.sample_interior(200, np.random.default_rng(11), min_depth=1e-3)
-        margin = f.norm_sp(pts) * dom.distance(pts) ** 2
+        margin = norm_sp_batch(f.field_matrix_batch(pts)) * dom.distance(pts) ** 2
         assert np.all(margin >= 1.0 - 1e-9)
 
     def test_singular_on_facet(self):
@@ -415,7 +398,8 @@ class TestToroidalField:
         rho = 3.0 + s * math.cos(psi)
         x = np.array([rho * math.cos(phi), rho * math.sin(phi), s * math.sin(psi)])
         D = dom.distance(x)
-        assert f.norm_sp(x) == pytest.approx(2.0 / (rho * D**3), rel=1e-4)
+        norm = norm_sp_batch(f.field_matrix_batch(x))
+        assert norm == pytest.approx(2.0 / (rho * D**3), rel=1e-4)
 
     def test_direction_constant_along_inward_ray(self):
         dom = SolidTorus3D(3.0, 1.0)
@@ -445,7 +429,7 @@ class TestNonToroidalField:
     def test_center_field_value(self):
         # at the center D == 1 and dD-term is O(|x|), so B ~ d(A0) = 2 scale dx^dy
         f = NonToroidalField(Ball3D(1.0), base_one_form=RotationOneForm(0.4))
-        assert f.norm_sp(np.zeros(3)) == pytest.approx(0.8, rel=1e-3)
+        assert norm_sp_batch(f.field_matrix_batch(np.zeros(3))) == pytest.approx(0.8, rel=1e-3)
 
     def test_blow_up_rate_near_boundary(self):
         f = NonToroidalField(Ball3D(1.0))
@@ -454,29 +438,8 @@ class TestNonToroidalField:
         # B = (2/D^2 + 2r/D^3) dx^dy = 2 (r + D)/D^3 dx^dy = 2/D^3 dx^dy
         for depth in (1e-2, 1e-3):
             x = (1.0 - depth) * x_dir
-            assert f.norm_sp(x) == pytest.approx(2.0 / depth**3, rel=1e-3)
-
-
-def _interior_points(domain, n, rng):
-    if isinstance(domain, Ball3D):
-        v = rng.normal(size=(n, 3))
-        return v / np.linalg.norm(v, axis=-1, keepdims=True) * rng.uniform(0.0, 0.99, (n, 1))
-    phi, psi = rng.uniform(0.0, 2 * np.pi, (2, n))
-    s = rng.uniform(0.0, 0.99 * domain.minor_radius, n)
-    rho = domain.major_radius + s * np.cos(psi)
-    return np.stack([rho * np.cos(phi), rho * np.sin(phi), s * np.sin(psi)], axis=-1)
-
-
-@pytest.mark.parametrize("f", [ToroidalField(2.0, SolidTorus3D(3.0, 1.0)),
-                               NonToroidalField(Ball3D(1.0))], ids=["toroidal", "nontoroidal"])
-def test_exterior_derivative_equals_field_batch(f):
-    # one central-difference kernel serves both entry points, bit for bit
-    pf = PotentialField(f.potential, 3, domain=f.domain)
-    X = _interior_points(f.domain, 40, np.random.default_rng(7))
-    mats = f.field_matrix_batch(X)
-    for x, mat in zip(X, mats):
-        np.testing.assert_array_equal(exterior_derivative(pf, x).entries, mat)
-        np.testing.assert_array_equal(f.field_matrix_batch(x), mat)
+            norm = norm_sp_batch(f.field_matrix_batch(x))
+            assert norm == pytest.approx(2.0 / depth**3, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -512,19 +475,10 @@ class TestGaugeShift:
 
 
 # ---------------------------------------------------------------------------
-# module-level ops and JSON
+# JSON round trips
 
 
 class TestOpsAndJson:
-    def test_evaluate_ops_types(self):
-        f = DipoleField((0, 0, 1))
-        x = np.array([0.2, 0.1, 1.0])
-        a = evaluate_potential(f, x)
-        B = evaluate_field(f, x)
-        assert isinstance(a, CoVector) and a.dim == 3
-        assert isinstance(B, TwoForm) and B.dim == 3
-        assert spectral_norm(B).norm_sp == pytest.approx(f.norm_sp(x), rel=1e-12)
-
     @pytest.mark.parametrize("build", [
         lambda: ConstantField(np.array([[0.0, 2.0], [-2.0, 0.0]])),
         lambda: PolytopeField(rotated_unit_square()),

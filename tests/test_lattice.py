@@ -5,15 +5,17 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from confinement_lab.domains import Disk2D, PuncturedSpace, axis_box, rotated_unit_square
+from confinement_lab.domains import Ball3D, Disk2D, PuncturedSpace, axis_box, rotated_unit_square
 from confinement_lab.errors import (
     AssemblyError,
     SingularityError,
     SolverError,
     ValidationError,
 )
-from confinement_lab.exterior import TwoForm, plane_two_form
+from confinement_lab.exterior import TwoForm, norm_sp_batch, plane_two_form
 from confinement_lab.fields import (
     ConstantField,
     DiskCounterexampleField,
@@ -26,7 +28,6 @@ from confinement_lab.lattice import (
     build_grid,
     calibrate_form_constant,
     commutator_bound_test,
-    form_bound_slack,
     gershgorin_lower_bound,
     ground_state_deficit,
     hur_hypothesis_probe,
@@ -34,7 +35,6 @@ from confinement_lab.lattice import (
     min_eigenvalue_of,
     paired_component_expectation,
     plaquette_phases,
-    weighted_norm_sq,
 )
 from confinement_lab import lattice
 from confinement_lab.lattice import _negative_pivots, _trial_vectors
@@ -201,6 +201,34 @@ def test_gauge_shift_spectrum_invariant():
     va, _ = assemble(base, dom, 0.1).lowest_eigenvalues(k=5)
     vb, _ = assemble(shifted, dom, 0.1).lowest_eigenvalues(k=5)
     assert np.max(np.abs(va - vb)) < 1e-10
+
+
+def _monomials(dim):
+    """Exponents of every monomial of degree 1 or 2 in ``dim`` variables."""
+    eye = np.eye(dim, dtype=int)
+    return [tuple(e) for e in eye] + [
+        tuple(eye[i] + eye[j]) for i in range(dim) for j in range(i, dim)
+    ]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_spectrum_invariant_under_random_gauge(dim, seed, grid_fraction):
+    # Dense path: at most about 720 sites.  The midpoint link phases integrate
+    # the gradient of a degree <= 2 polynomial exactly.
+    rng = np.random.default_rng(seed)
+    if dim == 2:
+        base, dom, h = DiskCounterexampleField(0.4), Disk2D(1.0), 0.08 + 0.07 * grid_fraction
+    else:
+        m = rng.normal(size=(3, 3))
+        base, dom, h = ConstantField(m - m.T), Ball3D(1.0), 0.18 + 0.12 * grid_fraction
+    exps = _monomials(dim)
+    poly = Polynomial(list(zip(rng.uniform(-3.0, 3.0, len(exps)).tolist(), exps)))
+    op_a = assemble(base, dom, h)
+    assert op_a.n_sites <= lattice.DENSE_CUTOFF
+    va, _ = op_a.lowest_eigenvalues(k=3)
+    vb, _ = assemble(GaugeShiftField(base, poly), dom, h).lowest_eigenvalues(k=3)
+    np.testing.assert_allclose(vb, va, rtol=1e-10)
 
 
 def test_gauge_shift_conjugates_quadratic_form():
@@ -385,21 +413,26 @@ def test_paired_expectation_constant_field():
     assert paired_component_expectation(op, f, u) == pytest.approx(
         2.0 * op.norm_sq(u), rel=1e-12
     )
-    assert weighted_norm_sq(op, f, u) == pytest.approx(
-        5.0 * op.norm_sq(u), rel=1e-12
-    )
+    rows = commutator_bound_test(f, box, 0.25, K=0.1, n_random=1, n_eigenvectors=0)
+    trials = _trial_vectors(op, 1, 5, 0)
+    assert len(rows) == len(trials) == 2
+    for row, (_, v) in zip(rows, trials):
+        assert row["weighted_norm_sq"] == pytest.approx(5.0 * op.norm_sq(v), rel=1e-12)
 
 
 def test_slack_decomposition():
     box = axis_box([-4.0, -4.0], [4.0, 4.0])
     f = ConstantField(plane_two_form(1.0))
     op = assemble(f, box, 0.25)
-    u = np.ones(op.n_sites, dtype=complex)
-    slack = form_bound_slack(op, f, u, K=0.1)
-    manual = (op.quadratic_form(u)
-              + 0.1 * op.grid.h * weighted_norm_sq(op, f, u)
-              - paired_component_expectation(op, f, u))
-    assert slack == pytest.approx(manual, rel=1e-12)
+    rows = commutator_bound_test(f, box, 0.25, K=0.1, n_random=1, n_eigenvectors=0)
+    trials = _trial_vectors(op, 1, 5, 0)
+    assert len(rows) == len(trials) == 2
+    for row, (_, u) in zip(rows, trials):
+        # |B|_sp = 1, so the weighted norm is 2 |u|^2
+        manual = (op.quadratic_form(u)
+                  + 0.1 * op.grid.h * 2.0 * op.norm_sq(u)
+                  - paired_component_expectation(op, f, u))
+        assert row["slack"] == pytest.approx(manual, rel=1e-12)
 
 
 def test_calibrated_constant_and_slack_nonnegative():
@@ -432,12 +465,16 @@ def test_lemma_slack_evaluates_the_field_once_per_operator(monkeypatch):
     calls.clear()
     calibrate_form_constant(sq, 0.1, lambda b: PolytopeField(sq), strengths=(1.0, 2.0))
     assert len(calls) == 2
-    # The rows are bit-identical to the ones the public helpers build.
+    # The rows are bit-identical to terms built from a fresh field evaluation.
     op = assemble(fld, sq, 0.05)
-    expected = [{"trial": name, "h": 0.05, "slack": form_bound_slack(op, fld, u, 0.09),
-                 "form": op.quadratic_form(u), "paired": paired_component_expectation(op, fld, u),
-                 "weighted_norm_sq": weighted_norm_sq(op, fld, u)}
-                for name, u in _trial_vectors(op, 3, 5, 2)]
+    norms = norm_sp_batch(fld.field_matrix_batch(op.grid.sites, domain=sq))
+    expected = []
+    for name, u in _trial_vectors(op, 3, 5, 2):
+        form, paired = op.quadratic_form(u), paired_component_expectation(op, fld, u)
+        weighted = lattice._weighted(op, norms, u)
+        slack = form + 0.09 * op.grid.h * weighted - paired
+        expected.append({"trial": name, "h": 0.05, "slack": slack, "form": form,
+                         "paired": paired, "weighted_norm_sq": weighted})
     assert rows == expected
 
 
