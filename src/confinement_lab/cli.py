@@ -200,7 +200,13 @@ def _r_scan_criterion(ctx, seed):
         eta0=ctx["eta0"],
         seed=seed,
     )
-    return report.to_json(), report.to_csv(), list(report.warnings), None
+    samples = report.samples
+    columns = [samples[name].tolist() for name in samples.dtype.names]
+    payload = dict(vars(report), samples=[dict(zip(samples.dtype.names, row))
+                                          for row in zip(*columns)])
+    rows = [[str(a)] + [_g(v) for v in rest] + [";".join(map(_g, point))]
+            for a, *rest, point in zip(*columns)]
+    return payload, _csv_table(samples.dtype.names, rows), list(report.warnings), None
 
 
 def _r_direction_scan(ctx, seed):
@@ -472,6 +478,8 @@ def _expand_alphas(ctx):
         raise SpecError("sweep-alpha needs either 'alphas' or 'range' + 'step'")
     if alphas is not None and rng is not None:
         raise SpecError("give either 'alphas' or 'range', not both")
+    if rng is None and step is not None:
+        raise SpecError("'step' needs a 'range'")
     if rng is not None:
         if step is None:
             raise SpecError("'range' needs a 'step'")

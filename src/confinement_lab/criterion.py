@@ -14,7 +14,6 @@ to stabilize along each ray: the scan records the oscillation of B/|B|_sp
 across depths and checks that it is small and contracting.
 """
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -42,25 +41,6 @@ TREND_FLOOR = 1e-3
 
 
 @dataclass
-class MarginSample:
-    anchor: int
-    depth: float
-    point: np.ndarray
-    distance: float
-    norm_sp: float
-    margin: float
-
-    def row(self):
-        return {
-            "anchor": self.anchor,
-            "depth": self.depth,
-            "distance": self.distance,
-            "norm_sp": self.norm_sp,
-            "margin": self.margin,
-        }
-
-
-@dataclass
 class CriterionReport:
     kind: str  # near_boundary / singular_point
     verdict: str
@@ -69,38 +49,10 @@ class CriterionReport:
     direction_oscillation: float
     direction_regular: bool
     theorem_basis: list
-    samples: list
+    samples: np.ndarray  # kept samples, anchor-major, largest depth first
     warnings: list
     excluded: int
     params: dict
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "liminf_estimate": self.liminf_estimate,
-            "eta_margin": self.eta_margin,
-            "direction_oscillation": self.direction_oscillation,
-            "direction_regular": self.direction_regular,
-            "theorem_basis": list(self.theorem_basis),
-            "warnings": list(self.warnings),
-            "excluded": self.excluded,
-            "params": self.params,
-            "samples": [
-                dict(s.row(), point=[float(v) for v in s.point]) for s in self.samples
-            ],
-        }
-
-    def to_csv(self):
-        buf = io.StringIO()
-        buf.write("anchor,depth,distance,norm_sp,margin,point\n")
-        for s in self.samples:
-            pt = ";".join("%.17g" % v for v in s.point)
-            buf.write(
-                "%d,%.17g,%.17g,%.17g,%.17g,%s\n"
-                % (s.anchor, s.depth, s.distance, s.norm_sp, s.margin, pt)
-            )
-        return buf.getvalue()
 
 
 def direction_regularity(directions, tol=OSCILLATION_TOL, slack=TREND_SLACK,
@@ -154,13 +106,15 @@ def _field_matrices(field, dom, points, start=0):
     return np.concatenate([head, tail]), head_bad + tail_bad
 
 
-def _collect_samples(field, dom, rays, depths, warnings):
-    """Evaluate every ray point at once.  Returns the kept samples, the
-    (anchors, depths) margin table and the (anchors, depths, d, d) unit
-    direction table, both NaN at an excluded sample (the directions also
-    below DIRECTION_FLOOR), and the excluded count."""
-    n_depths = len(depths)
-    points = np.concatenate([ray.points for ray in rays])
+def _collect_samples(field, dom, points, depths, warnings):
+    """Evaluate the (anchors, depths, d) ray points at once.  Returns the kept
+    samples as a structured array (fields anchor, depth, distance, norm_sp,
+    margin and point), the (anchors, depths) margin table and the (anchors,
+    depths, d, d) unit direction table, both NaN at an excluded sample (the
+    directions also below DIRECTION_FLOOR), and the excluded count."""
+    shape = points.shape[:2]
+    n_depths = shape[1]
+    points = points.reshape(-1, points.shape[-1])
     mats, singular = _field_matrices(field, dom, points)
     kept = np.ones(len(points), dtype=bool)
     for i, err in singular:
@@ -175,12 +129,12 @@ def _collect_samples(field, dom, rays, depths, warnings):
     margins[kept] = margin
     directions = np.full(mats.shape, np.nan)
     directions[kept] = kept_mats / np.where(nsp < DIRECTION_FLOOR, np.nan, nsp)[:, None, None]
-    samples = [
-        MarginSample(anchor=int(i // n_depths), depth=depths[i % n_depths], point=points[i],
-                     distance=float(r), norm_sp=float(b), margin=float(c))
-        for i, r, b, c in zip(np.flatnonzero(kept), dist, nsp, margin)
-    ]
-    shape = (len(rays), n_depths)
+    anchor, depth = np.divmod(np.flatnonzero(kept), n_depths)
+    columns = {"anchor": anchor, "depth": np.asarray(depths)[depth], "distance": dist,
+               "norm_sp": nsp, "margin": margin, "point": points[kept]}
+    samples = np.empty(len(anchor), dtype=[(k, v.dtype, v.shape[1:]) for k, v in columns.items()])
+    for name, column in columns.items():
+        samples[name] = column
     return samples, margins.reshape(shape), directions.reshape(shape + mats.shape[1:]), len(singular)
 
 
@@ -241,9 +195,9 @@ def _scan(field, dom, n_anchors, depths, seed):
     rng = np.random.default_rng(seed)
     depths = default_depths(dom) if depths is None else depths
     depths = sorted((float(d) for d in depths), reverse=True)
-    rays = dom.near_boundary_rays(n_anchors, depths, rng)
+    points = dom.near_boundary_rays(n_anchors, depths, rng)
     warnings: list = []
-    samples, margins, dirs, excluded = _collect_samples(field, dom, rays, depths, warnings)
+    samples, margins, dirs, excluded = _collect_samples(field, dom, points, depths, warnings)
     params = {"n_anchors": int(n_anchors), "depths": depths, "seed": int(seed)}
     return samples, margins, dirs, excluded, warnings, params
 

@@ -68,22 +68,6 @@ def _reject_unknown(params, known, kind):
         raise ValidationError(f"unknown keys for {kind}: {sorted(unknown)}")
 
 
-@dataclass
-class Ray:
-    """A boundary anchor with sample points marching inward at given depths.
-
-    For bounded domains ``anchor`` is a boundary point and ``inward`` the unit
-    inward normal there; points[i] = anchor + depths[i] * inward.  For
-    punctured space the anchor is a unit direction u and points[i] =
-    depths[i] * u approach the deleted origin radially.
-    """
-
-    anchor: np.ndarray
-    inward: np.ndarray
-    depths: np.ndarray
-    points: np.ndarray  # shape (len(depths), d)
-
-
 class Domain(JsonKind, ABC):
     """Open connected region with exact boundary distance."""
 
@@ -134,15 +118,13 @@ class Domain(JsonKind, ABC):
 
         Returns
         -------
-        list of Ray
+        ndarray, shape (n_points, len(depths), d)
+            points[i, j] = anchor_i + depths[j] * inward_i, with the
+            ``_anchors`` layout and the depths in the given order.
         """
         depths = self._ray_depths(n_points, depths)
         anchors, inwards = self._anchors(int(n_points), rng)
-        rays = []
-        for a, nvec in zip(anchors, inwards):
-            pts = a[None, :] + depths[:, None] * nvec[None, :]
-            rays.append(Ray(anchor=a, inward=nvec, depths=depths.copy(), points=pts))
-        return rays
+        return anchors[:, None] + depths[None, :, None] * inwards[:, None]
 
     def _ray_depths(self, n_points, depths):
         """Check the anchor count and depths of every ``near_boundary_rays``."""
@@ -335,20 +317,12 @@ class SolidTorus3D(Domain):
         # Near-square grid in the toroidal and poloidal angles.
         n_phi = max(int(round(math.sqrt(n * self.major_radius / self.minor_radius))), 1)
         n_psi = max(int(math.ceil(n / n_phi)), 1)
-        phis = 2 * np.pi * np.arange(n_phi) / n_phi
-        psis = 2 * np.pi * np.arange(n_psi) / n_psi
-        anchors, inwards = [], []
-        for phi in phis:
-            e_rho = np.array([np.cos(phi), np.sin(phi), 0.0])
-            e_z = np.array([0.0, 0.0, 1.0])
-            center = self.major_radius * e_rho
-            for psi in psis:
-                out = np.cos(psi) * e_rho + np.sin(psi) * e_z
-                anchors.append(center + self.minor_radius * out)
-                inwards.append(-out)
-                if len(anchors) == n:
-                    return np.array(anchors), np.array(inwards)
-        return np.array(anchors), np.array(inwards)
+        phi, psi = np.meshgrid(2 * np.pi * np.arange(n_phi) / n_phi,
+                               2 * np.pi * np.arange(n_psi) / n_psi, indexing="ij")
+        e_rho = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
+        out = np.cos(psi)[..., None] * e_rho + np.sin(psi)[..., None] * np.array([0.0, 0.0, 1.0])
+        anchors = self.major_radius * e_rho + self.minor_radius * out
+        return anchors.reshape(-1, 3)[:n], -out.reshape(-1, 3)[:n]
 
 
 @dataclass
@@ -524,13 +498,9 @@ class PuncturedSpace(Domain):
         return np.zeros((n, self.dim)), dirs
 
     def near_boundary_rays(self, n_points, depths, rng=None):
+        """points[i, j] = depths[j] * u_i along the unit anchor directions u_i."""
         depths = self._ray_depths(n_points, depths)
-        _, dirs = self._anchors(int(n_points), rng)
-        rays = []
-        for u in dirs:
-            pts = depths[:, None] * u[None, :]
-            rays.append(Ray(anchor=u, inward=u, depths=depths.copy(), points=pts))
-        return rays
+        return depths[None, :, None] * self._anchors(int(n_points), rng)[1][:, None]
 
     def sample_interior(self, n, rng, min_depth=0.0):
         lo = max(min_depth, 1e-3)

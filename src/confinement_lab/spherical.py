@@ -30,9 +30,6 @@ class SphericalSpectrum:
     charge: int
     levels: list  # of SphericalLevel, increasing k
 
-    def ground(self) -> Fraction:
-        return self.levels[0].value
-
     def rows(self):
         """(k, numerator, denominator, multiplicity) tuples, CSV-friendly."""
         return [(lv.k, lv.value.numerator, lv.value.denominator, lv.multiplicity) for lv in self.levels]

@@ -300,6 +300,7 @@ MESSAGES = [
     ("alphas-and-range", _spec("sweep-alpha", {"alphas": [0.5], "range": [0.3, 0.6], "step": 0.1}),
      "give either 'alphas' or 'range', not both"),
     ("range-step", _spec("sweep-alpha", {"range": [0.3, 0.6]}), "'range' needs a 'step'"),
+    ("step-range", _spec("sweep-alpha", {"alphas": [0.5], "step": 0.1}), "'step' needs a 'range'"),
     ("range-order", _spec("sweep-alpha", {"range": [0.6, 0.3], "step": 0.1}),
      "'range' must be [lo, hi] with lo < hi"),
     ("k-max-parity", _spec("spherical-table", {"m": 1, "k_max": 4}),

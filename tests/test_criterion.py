@@ -1,11 +1,15 @@
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confinement_lab.cli import main
 from confinement_lab.criterion import (
     BELOW_THRESHOLD,
     CONFINING_D2,
@@ -138,6 +142,58 @@ def direction_regularity_loop(directions_by_anchor, tol=OSCILLATION_TOL,
     return regular, worst, per_anchor
 
 
+def scan_payload_loop(report):
+    """Reference for the ``scan-criterion`` payload of ``cli run``: the report
+    fields and one dict per sample, built by a loop over the samples."""
+    return {
+        "kind": report.kind,
+        "verdict": report.verdict,
+        "liminf_estimate": report.liminf_estimate,
+        "eta_margin": report.eta_margin,
+        "direction_oscillation": report.direction_oscillation,
+        "direction_regular": report.direction_regular,
+        "theorem_basis": list(report.theorem_basis),
+        "warnings": list(report.warnings),
+        "excluded": report.excluded,
+        "params": report.params,
+        "samples": [
+            {"anchor": int(s["anchor"]), "depth": float(s["depth"]),
+             "distance": float(s["distance"]), "norm_sp": float(s["norm_sp"]),
+             "margin": float(s["margin"]), "point": [float(v) for v in s["point"]]}
+            for s in report.samples
+        ],
+    }
+
+
+def scan_csv_loop(report):
+    """Reference for the ``scan-criterion`` CSV of ``cli run``, one sample per
+    written line."""
+    buf = io.StringIO()
+    buf.write("anchor,depth,distance,norm_sp,margin,point\n")
+    for s in report.samples:
+        pt = ";".join("%.17g" % v for v in s["point"])
+        buf.write(
+            "%d,%.17g,%.17g,%.17g,%.17g,%s\n"
+            % (s["anchor"], s["depth"], s["distance"], s["norm_sp"], s["margin"], pt)
+        )
+    return buf.getvalue()
+
+
+def run_scan_cli(outdir, field, n_anchors, seed):
+    """CSV bytes and report payload of ``cli run`` on a scan-criterion spec."""
+    os.makedirs(outdir, exist_ok=True)
+    spec = {"schema": 1, "task": "scan-criterion", "output": "scan", "seed": seed,
+            "field": field.to_json(), "params": {"anchors": n_anchors}}
+    path = os.path.join(outdir, "spec.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(spec, fh)
+    assert main(["run", path, "--out", outdir]) == 0
+    with open(os.path.join(outdir, "scan.csv"), "rb") as fh:
+        csv = fh.read()
+    with open(os.path.join(outdir, "scan.report.json"), encoding="utf-8") as fh:
+        return csv, json.load(fh)["payload"]
+
+
 @st.composite
 def direction_tables(draw):
     """(anchors, depths, d, d) unit-form tables.  Each ray is one random
@@ -220,7 +276,7 @@ class TestInvariances:
         shifted = GaugeShiftField(base, Polynomial(terms=[(1.0, (2, 0)), (-3.0, (1, 1))]))
         ra = scan_margin(base)
         rb = scan_margin(shifted)
-        assert [s.margin for s in ra.samples] == [s.margin for s in rb.samples]
+        assert ra.samples["margin"].tolist() == rb.samples["margin"].tolist()
         assert ra.verdict == rb.verdict
 
     def test_power_of_two_scaling_invariance(self):
@@ -229,23 +285,19 @@ class TestInvariances:
         f2 = ConstantField(np.array([[0.0, b / 4], [-b / 4, 0.0]]))
         r1 = scan_margin(f1, Disk2D(1.0), n_anchors=16)
         r2 = scan_margin(f2, Disk2D(2.0), n_anchors=16)
-        m1 = np.array([s.margin for s in r1.samples])
-        m2 = np.array([s.margin for s in r2.samples])
-        assert np.array_equal(m1, m2)
+        assert np.array_equal(r1.samples["margin"], r2.samples["margin"])
 
     def test_margin_linear_in_field_strength(self):
         f1 = ConstantField(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         f2 = ConstantField(np.array([[0.0, 2.0], [-2.0, 0.0]]))
         r1 = scan_margin(f1, Disk2D(1.0), n_anchors=8)
         r2 = scan_margin(f2, Disk2D(1.0), n_anchors=8)
-        m1 = np.array([s.margin for s in r1.samples])
-        m2 = np.array([s.margin for s in r2.samples])
-        assert np.array_equal(2.0 * m1, m2)
+        assert np.array_equal(2.0 * r1.samples["margin"], r2.samples["margin"])
 
     def test_liminf_is_min_margin_at_smallest_depth(self):
         report = scan_margin(DiskCounterexampleField(0.3))
-        dmin = min(s.depth for s in report.samples)
-        expect = min(s.margin for s in report.samples if s.depth == dmin)
+        depth, margin = report.samples["depth"], report.samples["margin"]
+        expect = margin[depth == depth.min()].min()
         assert report.liminf_estimate == expect
 
 
@@ -335,22 +387,21 @@ class TestSamplingMechanics:
         class PointSingular(DiskCounterexampleField):
             def field_matrix_batch(self, x, domain=None):
                 pts = np.asarray(x, float).reshape(-1, 2)
-                if np.any(np.all(pts == bad.point, axis=-1)):
+                if np.any(np.all(pts == bad["point"], axis=-1)):
                     raise SingularityError("test point singularity")
                 return super().field_matrix_batch(x, domain=domain)
 
         report = scan_margin(PointSingular(0.5))
         assert report.excluded == 1
         assert report.warnings == [
-            f"anchor 5 depth {bad.depth:g}: sample excluded (test point singularity)"
+            f"anchor 5 depth {bad['depth']:g}: sample excluded (test point singularity)"
         ]
-        kept = [s for s in clean.samples if s is not bad]
-        assert [s.row() for s in report.samples] == [s.row() for s in kept]
+        assert np.array_equal(report.samples, np.delete(clean.samples, 5 * 4 + 2))
         dom = field.domain
         for s in report.samples:
-            nsp = float(norm_sp_batch(field.field_matrix_batch(s.point, domain=dom)))
-            dist = float(dom.distance(s.point))
-            assert s.margin == nsp * dist * dist
+            nsp = float(norm_sp_batch(field.field_matrix_batch(s["point"], domain=dom)))
+            dist = float(dom.distance(s["point"]))
+            assert s["margin"] == nsp * dist * dist
 
     def test_all_excluded_rejected(self):
         class AlwaysSingular(DiskCounterexampleField):
@@ -367,7 +418,7 @@ class TestSamplingMechanics:
     def test_custom_depths_recorded(self):
         report = scan_margin(DiskCounterexampleField(0.4), depths=[0.05, 0.01], n_anchors=8)
         assert report.params["depths"] == [0.05, 0.01]
-        assert {s.depth for s in report.samples} == {0.05, 0.01}
+        assert set(report.samples["depth"].tolist()) == {0.05, 0.01}
 
     @pytest.mark.parametrize("depths", [[1e-4, 1e-3, 1e-2, 1e-1], [1e-3, 1e-1, 1e-4, 1e-2]])
     def test_depth_order_does_not_change_the_scan(self, depths):
@@ -381,7 +432,7 @@ class TestSamplingMechanics:
         assert report.liminf_estimate == ref.liminf_estimate
         assert report.direction_oscillation == ref.direction_oscillation
         assert report.params["depths"] == ladder
-        assert report.to_csv() == ref.to_csv()
+        assert scan_csv_loop(report) == scan_csv_loop(ref)
         directions = scan_directions(field, dom, depths=depths)
         assert directions["regular"]
         assert directions == scan_directions(field, dom, depths=ladder)
@@ -403,18 +454,32 @@ class TestSamplingMechanics:
 
 
 class TestReportSerialization:
-    def test_csv_deterministic_across_runs(self):
-        a = scan_margin(DiskCounterexampleField(0.5), seed=7)
-        b = scan_margin(DiskCounterexampleField(0.5), seed=7)
-        assert a.to_csv() == b.to_csv()
-        assert a.to_csv().splitlines()[0] == "anchor,depth,distance,norm_sp,margin,point"
-        assert len(a.to_csv().splitlines()) == 1 + 64 * 4
+    def test_csv_deterministic_across_runs(self, tmp_path):
+        field = DiskCounterexampleField(0.5)
+        a, _ = run_scan_cli(str(tmp_path / "a"), field, 64, seed=7)
+        b, _ = run_scan_cli(str(tmp_path / "b"), field, 64, seed=7)
+        assert a == b
+        assert a.splitlines()[0] == b"anchor,depth,distance,norm_sp,margin,point"
+        assert len(a.splitlines()) == 1 + 64 * 4
 
-    def test_json_serializable_and_faithful(self):
-        report = scan_margin(DiskCounterexampleField(0.5), n_anchors=4)
-        blob = json.dumps(report.to_json())
-        back = json.loads(blob)
+    def test_json_serializable_and_faithful(self, tmp_path):
+        field = DiskCounterexampleField(0.5)
+        report = scan_margin(field, n_anchors=4)
+        _, back = run_scan_cli(str(tmp_path), field, 4, seed=0)
         assert back["verdict"] == BELOW_THRESHOLD
         assert back["params"]["n_anchors"] == 4
         assert len(back["samples"]) == 16
-        assert back["samples"][0]["margin"] == report.samples[0].margin
+        assert back["samples"][0]["margin"] == report.samples[0]["margin"]
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.one_of(
+        st.floats(0.1, 0.85).map(DiskCounterexampleField),
+        st.integers(1, 4).map(MonopoleField),
+        st.floats(1.0, 3.0).map(lambda a: ToroidalField(a, SolidTorus3D(2.0, 1.0)))))
+    def test_cli_output_matches_loop_reference(self, seed, n_anchors, field):
+        report = scan_margin(field, n_anchors=n_anchors, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            csv, payload = run_scan_cli(tmp, field, n_anchors, seed)
+        assert csv == scan_csv_loop(report).encode()
+        assert (json.dumps(payload, sort_keys=True)
+                == json.dumps(scan_payload_loop(report), sort_keys=True))

@@ -84,8 +84,7 @@ class TestLipschitz:
         dom = SolidTorus3D(2.0, 0.7)
         rng = np.random.default_rng(1)
         pts = dom.sample_interior(50, rng)
-        rays = dom.near_boundary_rays(40, [1e-6])
-        boundary = np.array([r.anchor for r in rays])
+        boundary, _ = dom._anchors(40, None)
         for x in pts:
             d = dom.distance(x)
             gaps = np.linalg.norm(boundary - x, axis=-1)
@@ -100,21 +99,22 @@ class TestRays:
     )
     def test_depths_realized_exactly(self, dom):
         depths = np.array([1e-1, 1e-2, 1e-3, 1e-4]) * dom.inradius()
-        rays = dom.near_boundary_rays(16, depths)
-        assert len(rays) == 16
-        for ray in rays:
-            got = dom.distance(ray.points)
+        points = dom.near_boundary_rays(16, depths)
+        assert points.shape == (16, len(depths), dom.dim)
+        for ray in points:
+            got = dom.distance(ray)
             assert np.allclose(got, depths, rtol=1e-9, atol=1e-12)
 
     def test_punctured_example_ray(self):
         p = PuncturedSpace(3)
-        rays = p.near_boundary_rays(64, [0.1])
-        by_dir = {tuple(np.round(r.anchor, 6)): r for r in rays}
+        points = p.near_boundary_rays(64, [0.1])
+        _, dirs = p._anchors(64, None)
+        by_dir = {tuple(np.round(u, 6)) for u in dirs}
         # Direction anchors are unit vectors; each sample sits at depth * direction.
-        for r in rays:
-            assert np.linalg.norm(r.anchor) == pytest.approx(1.0)
-            assert np.allclose(r.points[0], 0.1 * r.anchor)
-            assert p.distance(r.points[0]) == pytest.approx(0.1)
+        for u, ray in zip(dirs, points):
+            assert np.linalg.norm(u) == pytest.approx(1.0)
+            assert np.allclose(ray[0], 0.1 * u)
+            assert p.distance(ray[0]) == pytest.approx(0.1)
         assert len(by_dir) == 64
 
     def test_depth_validation(self):
@@ -126,8 +126,7 @@ class TestRays:
 
     def test_square_mid_edge_anchor_present(self):
         sq = axis_box([0.0, 0.0], [1.0, 1.0])
-        rays = sq.near_boundary_rays(4, [0.1])
-        anchors = np.array([r.anchor for r in rays])
+        anchors, _ = sq._anchors(4, None)
         mids = np.array([[1.0, 0.5], [0.0, 0.5], [0.5, 1.0], [0.5, 0.0]])
         for m in mids:
             assert np.min(np.linalg.norm(anchors - m, axis=-1)) < 1e-9

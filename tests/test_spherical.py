@@ -11,7 +11,7 @@ class TestSpectrum:
         for m in range(-8, 9):
             assert ground_level(m) == Fraction(abs(m), 2)
             k0 = abs(m)
-            assert spectrum(m, k0).ground() == Fraction(abs(m), 2)
+            assert spectrum(m, k0).levels[0].value == Fraction(abs(m), 2)
 
     def test_m2_table(self):
         # k = 2, 4, 6 for charge 2: (k(k+2) - 4)/4.
