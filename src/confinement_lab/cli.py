@@ -8,11 +8,13 @@ validate   parse and validate a spec without running it
 reproduce  run the bundled example specs and print a pass/fail line each
 
 Exit codes: 0 success, 2 validation failure (malformed spec, bad parameters,
-bad field/domain), 3 solver failure.  Top-level imports stay stdlib-only so
---threads can pin BLAS pools before the numeric stack loads.
+bad field/domain), 3 solver failure.  Top-level imports stay stdlib-only: a
+command loads each numeric layer only when it reaches it, so ``--help``
+answers without numpy or scipy.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -878,13 +880,15 @@ def _reproduce(thresholds_arg):
 # entry point
 
 
-def _set_threads(n):
+def _thread_cap(n):
+    """Context capping the bundled OpenBLAS pools at n threads (None: no cap)."""
+    if n is None:
+        return contextlib.nullcontext()
     if n < 1:
         raise SpecError("'--threads' must be a positive integer")
-    n = str(n)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = n
+    from .lattice import blas_threads
+
+    return blas_threads(n)
 
 
 def _build_parser():
@@ -900,7 +904,7 @@ def _build_parser():
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the spec seed")
     run_p.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS/OpenMP thread pools")
+                       help="cap the numpy and scipy OpenBLAS thread pools")
     run_p.add_argument("--dump-matrix", action="store_true",
                        help="also write the assembled operator (Matrix Market)")
 
@@ -912,20 +916,19 @@ def _build_parser():
     rep_p.add_argument("--thresholds", default=None,
                        help="JSON object or file overriding check thresholds")
     rep_p.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS/OpenMP thread pools")
+                       help="cap the numpy and scipy OpenBLAS thread pools")
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "threads", None) is not None:
-            _set_threads(args.threads)
-        if args.command == "run":
-            return _run_spec(args.spec, args.out, args.seed, args.dump_matrix)
-        if args.command == "validate":
-            return _validate_spec(args.spec)
-        return _reproduce(args.thresholds)
+        with _thread_cap(getattr(args, "threads", None)):
+            if args.command == "run":
+                return _run_spec(args.spec, args.out, args.seed, args.dump_matrix)
+            if args.command == "validate":
+                return _validate_spec(args.spec)
+            return _reproduce(args.thresholds)
     except SpecError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -17,7 +17,12 @@ Landau bottom |b| from below in the bulk, with leading deficit b^2 h^2 / 8,
 while Dirichlet walls push it up; both effects are visible in the tests.
 """
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -211,6 +216,44 @@ def _negative_pivots(lu):
     return int(np.count_nonzero(lu.U.diagonal().real < 0.0))
 
 
+@functools.cache
+def _blas_pools():
+    """(get, set) thread-count functions of the OpenBLAS that the numpy and
+    scipy wheels bundle; empty under any other BLAS."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    pools = []
+    for pkg in ("numpy", "scipy"):
+        for path in sorted(glob.glob(os.path.join(site, pkg + ".libs", "*openblas*"))):
+            lib = ctypes.CDLL(path)
+            for suffix in ("64_", ""):
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    pools.append((get, put))
+                    break
+    return pools
+
+
+@contextlib.contextmanager
+def blas_threads(n):
+    """Cap every bundled OpenBLAS pool at n threads; restore the sizes after.
+
+    The pools are looked up at the first use, not at import.
+    """
+    pools = _blas_pools()
+    saved = [get() for get, _ in pools]
+    try:
+        for (_, put), size in zip(pools, saved):
+            put(min(n, size))
+        yield
+    finally:
+        for (_, put), size in zip(pools, saved):
+            put(size)
+
+
+@blas_threads(1)
 def lowest_pairs(A, k, rtol, sigma=None, maxiter=600, seed=0):
     """k lowest eigenpairs of a sparse Hermitian matrix, possibly indefinite.
 
@@ -231,6 +274,14 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600, seed=0):
     of eigenvalues below the shift (Sylvester's law of inertia), so an
     advance is kept only when that count is zero; otherwise the current
     factorization stays and the shift stops advancing.
+
+    The whole call runs with the numpy and scipy OpenBLAS pools at one
+    thread.  Each step alternates between the two libraries (QR and matmul
+    in numpy's, the SuperLU solve and eigh in scipy's).  On a block at most
+    128 columns wide no part of a step gains from a second thread, while two
+    2-thread pools contending for 2 cores take 8 to 23 ms per step against
+    6 ms at one thread (n = 4452, block 6).  One thread also makes the
+    iterates, and so the spectra, independent of the host's pool size.
 
     ``sigma`` must not exceed the smallest eigenvalue; None uses the
     Gershgorin bound.  Residuals are measured against rtol * |A|_inf.

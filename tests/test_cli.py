@@ -428,3 +428,50 @@ def test_reproduce_timers_start_after_module_import():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[0].startswith("PASS  probe: True (")
+
+
+def test_threads_flag_leaves_environment_and_pools_as_found(tmp_path, monkeypatch,
+                                                            pools_at_two):
+    import confinement_lab.cli as cli
+
+    seen = []
+    run_spec = cli._run_spec
+
+    def spy(*args):
+        seen.append(pools_at_two())
+        return run_spec(*args)
+
+    monkeypatch.setattr(cli, "_run_spec", spy)
+    environ = dict(os.environ)
+    spec = {"schema": 1, "task": "spherical-table", "params": {"m": 1, "k_max": 5}}
+    rc, _ = run(tmp_path, spec, "--threads", "1")
+    assert rc == 0
+    assert set(seen[0]) == {1}
+    assert dict(os.environ) == environ
+    assert set(pools_at_two()) == {2}
+
+
+def test_sparse_path_csv_independent_of_blas_pool_size(tmp_path):
+    import subprocess
+    import sys
+
+    import confinement_lab
+
+    spec = {"schema": 1, "task": "eig", "output": "disk", "seed": 0,
+            "params": {"h": 0.028, "delta": 0.06, "k": 2},
+            "field": {"kind": "disk_counterexample", "alpha": 0.5}, "domain": DISK}
+    path = write_spec(tmp_path, spec)
+    src = os.path.dirname(os.path.dirname(confinement_lab.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "confinement_lab.cli", "run", path,
+                        "--out", str(out)], env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                       check=True, capture_output=True)
+        csvs.append((out / "disk.csv").read_bytes())
+    report = json.loads((tmp_path / "threads1" / "disk.report.json").read_text())
+    assert report["payload"]["n_sites"] > 1500  # the sparse path
+    assert csvs[0] == csvs[1]

@@ -1,5 +1,7 @@
 """Lattice operator assembly, gauge covariance, eigensolver, and probes."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.io
@@ -293,11 +295,44 @@ def test_eigenvectors_orthonormal_and_sorted():
     assert np.max(np.abs(gram - np.eye(4))) < 1e-8
 
 
-def test_lowest_pairs_maxiter_raises():
+def test_lowest_pairs_maxiter_raises(pools_at_two):
     op = assemble(ConstantField(plane_two_form(1.0)),
                   axis_box([-5.0, -5.0], [5.0, 5.0]), 0.25)
     with pytest.raises(SolverError):
         lowest_pairs(op.matrix, 1, rtol=1e-8, sigma=0.0, maxiter=2)
+    assert set(pools_at_two()) == {2}
+
+
+def test_lowest_pairs_runs_on_one_blas_thread(pools_at_two, monkeypatch):
+    seen = []
+
+    def splu(*args, **kwargs):
+        seen.append(pools_at_two())
+        return spla.splu(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "spla", SimpleNamespace(splu=splu, norm=spla.norm))
+    op = assemble(ConstantField(plane_two_form(1.0)),
+                  axis_box([-5.0, -5.0], [5.0, 5.0]), 0.25)
+    vals, _ = lowest_pairs(op.matrix, 2, rtol=1e-8, sigma=0.0)
+    assert seen and all(set(sizes) == {1} for sizes in seen)
+    assert set(pools_at_two()) == {2}
+    assert vals[0] == pytest.approx(LANDAU_SIDE10, abs=5e-6)
+
+
+def test_blas_threads_caps_and_restores(pools_at_two):
+    with lattice.blas_threads(1):
+        assert set(pools_at_two()) == {1}
+        with lattice.blas_threads(8):
+            assert set(pools_at_two()) == {1}
+        assert set(pools_at_two()) == {1}
+    assert set(pools_at_two()) == {2}
+
+
+def test_blas_threads_without_pools_does_nothing(pools_at_two, monkeypatch):
+    monkeypatch.setattr(lattice, "_blas_pools", lambda: [])
+    with lattice.blas_threads(1):
+        assert set(pools_at_two()) == {2}
+    assert set(pools_at_two()) == {2}
 
 
 def _symmetric_factor(A):
