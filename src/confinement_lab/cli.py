@@ -247,18 +247,17 @@ def _r_eig(ctx, seed):
 def _r_hur_probe(ctx, seed):
     from .lattice import hur_hypothesis_probe
 
-    div = ctx["h_divisor"]
     rows = hur_hypothesis_probe(
         ctx["field"],
         ctx["domain"],
         eps=ctx["eps"],
         deltas=ctx["deltas"],
-        h_rule=lambda d: d / div,
+        h_divisor=ctx["h_divisor"],
         tol=ctx["tol"],
     )
     payload = {
         "eps": ctx["eps"],
-        "h_divisor": div,
+        "h_divisor": ctx["h_divisor"],
         "rows": [dict(r) for r in rows],
         "bounded_below": bool(rows[-1]["lambda_min_hardy"]
                               >= rows[0]["lambda_min_hardy"] - abs(rows[0]["lambda_min_hardy"])),
@@ -433,15 +432,14 @@ def _r_lemma_slack(ctx, seed):
     K = ctx["K"]
     if K is None:
         half = ctx["calibration_side"] / 2.0
-        cfg = calibrate_form_constant(
+        K, rates = calibrate_form_constant(
             axis_box([-half, -half], [half, half]),
             ctx["calibration_h"],
             lambda s: ConstantField(plane_two_form(s)),
         )
-        K = cfg.K
         payload["calibration"] = {
-            "h": cfg.calibration["h"],
-            "rates": {_g(s): float(r) for s, r in cfg.calibration["rates"].items()},
+            "h": ctx["calibration_h"],
+            "rates": {_g(s): float(r) for s, r in rates.items()},
         }
     rows = commutator_bound_test(
         ctx["field"], ctx["domain"], ctx["h"], K, delta=ctx["delta"],

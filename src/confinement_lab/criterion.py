@@ -55,8 +55,7 @@ class CriterionReport:
     params: dict
 
 
-def direction_regularity(directions, tol=OSCILLATION_TOL, slack=TREND_SLACK,
-                         floor=TREND_FLOOR):
+def direction_regularity(directions, tol=OSCILLATION_TOL):
     """Oscillation of the unit field direction along each ray.
 
     directions: (anchors, depths, d, d) unit-form matrices, each ray from the
@@ -64,8 +63,9 @@ def direction_regularity(directions, tol=OSCILLATION_TOL, slack=TREND_SLACK,
     (regular, max_oscillation, per_anchor): per-anchor oscillation is the max
     pairwise distance between a ray's present directions (0.0 below two), and
     regularity also requires the step between consecutive present directions
-    not to grow from the first to the last (within ``slack`` and an absolute
-    ``floor`` that absorbs the finite-difference noise plateau).
+    not to grow from the first to the last (within the factor ``TREND_SLACK``
+    and the absolute ``TREND_FLOOR`` that absorbs the finite-difference noise
+    plateau).
     """
     dirs = np.asarray(directions, dtype=float)
     iu = np.triu_indices(dirs.shape[-1], k=1)
@@ -84,7 +84,7 @@ def direction_regularity(directions, tol=OSCILLATION_TOL, slack=TREND_SLACK,
     first = dist[rows, ends[:, 0], ends[:, 1]]
     last = dist[rows, ends[:, 2], ends[:, 3]]
     oscillates = (count >= 2) & (per_anchor >= tol)
-    grows = (count >= 3) & (last > slack * first + floor)
+    grows = (count >= 3) & (last > TREND_SLACK * first + TREND_FLOOR)
     regular = not np.any(oscillates | grows)
     return regular, float(per_anchor.max(initial=0.0)), per_anchor.tolist()
 

@@ -547,13 +547,13 @@ def polygon_from_vertices(vertices):
     return Polytope(fns)
 
 
-def rotated_unit_square(angle=0.35):
-    """The unit square moved by a generic rotation about its center.
+def rotated_unit_square():
+    """The unit square rotated by the generic angle 0.35 about its center.
 
     Generic orientation keeps every facet normal's first component nonzero,
     which the polytope field construction requires.
     """
-    c, s = math.cos(angle), math.sin(angle)
+    c, s = math.cos(0.35), math.sin(0.35)
     rot = np.array([[c, -s], [s, c]])
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     center = np.array([0.5, 0.5])

@@ -52,12 +52,9 @@ class TwoForm:
         return f"TwoForm(dim={self.dim}, entries={self.entries.tolist()})"
 
 
-def plane_two_form(b: float, dim: int = 2) -> TwoForm:
-    """Constant-coefficient form b dx_1 ^ dx_2 in the given dimension."""
-    m = np.zeros((dim, dim))
-    m[0, 1] = b
-    m[1, 0] = -b
-    return TwoForm(m)
+def plane_two_form(b: float) -> TwoForm:
+    """Constant-coefficient planar form b dx_1 ^ dx_2."""
+    return TwoForm([[0.0, b], [-b, 0.0]])
 
 
 def axial_matrices(v) -> np.ndarray:

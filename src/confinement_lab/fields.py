@@ -175,11 +175,10 @@ class ConstantField(MagneticField):
     json_keys = ("two_form",)
     label = "constant field"
 
-    def __init__(self, two_form, domain=None):
+    def __init__(self, two_form):
         b = two_form if isinstance(two_form, TwoForm) else TwoForm(two_form)
         self.two_form = b
         self.dim = b.dim
-        self.domain = domain
 
     def potential(self, x):
         x = np.asarray(x, dtype=float)

@@ -23,7 +23,7 @@ import functools
 import glob
 import math
 import os
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
@@ -51,9 +51,7 @@ class Grid:
     sites: np.ndarray     # (N, d) positions
     coords: np.ndarray    # (N, d) integer lattice coordinates
     h: float
-    offset: np.ndarray
     domain: object
-    delta: float
 
     @property
     def n_sites(self):
@@ -97,14 +95,7 @@ def build_grid(dom, h, delta=0.0, offset=None):
         keep = inside
     if not np.any(keep):
         raise ValidationError("no lattice sites survive inside the domain")
-    return Grid(
-        sites=sites[keep],
-        coords=coords[keep],
-        h=float(h),
-        offset=offset,
-        domain=dom,
-        delta=float(delta),
-    )
+    return Grid(sites=sites[keep], coords=coords[keep], h=float(h), domain=dom)
 
 
 def _wall_fractions(dom, sites, dirs, h, delta):
@@ -144,8 +135,6 @@ def _edge_phase_exponents(field, starts, axis, h, quadrature):
 class LatticeOperator:
     matrix: sp.csr_matrix
     grid: Grid
-    quadrature: str
-    meta: dict = dataclass_field(default_factory=dict)
 
     @property
     def n_sites(self):
@@ -174,17 +163,17 @@ class LatticeOperator:
                 f"{RESIDUAL_RTOL * scale:.3e}"
             )
 
-    def lowest_eigenvalues(self, k=1, dense_cutoff=DENSE_CUTOFF):
+    def lowest_eigenvalues(self, k=1):
         """k smallest eigenpairs, residual-checked.
 
-        Dense Hermitian solve up to ``dense_cutoff`` unknowns; above that, a
+        Dense Hermitian solve up to ``DENSE_CUTOFF`` unknowns; above that, a
         deterministic shifted block inverse iteration (the assembled operator
         is positive semidefinite, so the zero shift is always factorable).
         """
         n = self.n_sites
         if k < 1 or k >= n:
             raise ValidationError(f"need 1 <= k < {n}")
-        if n <= dense_cutoff:
+        if n <= DENSE_CUTOFF:
             vals, vecs = scipy.linalg.eigh(
                 self.matrix.toarray(), subset_by_index=(0, k - 1)
             )
@@ -254,7 +243,7 @@ def blas_threads(n):
 
 
 @blas_threads(1)
-def lowest_pairs(A, k, rtol, sigma=None, maxiter=600, seed=0):
+def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
     """k lowest eigenpairs of a sparse Hermitian matrix, possibly indefinite.
 
     Shifted block inverse iteration with Rayleigh-Ritz extraction.  Two
@@ -284,7 +273,9 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600, seed=0):
     iterates, and so the spectra, independent of the host's pool size.
 
     ``sigma`` must not exceed the smallest eigenvalue; None uses the
-    Gershgorin bound.  Residuals are measured against rtol * |A|_inf.
+    Gershgorin bound.  Residuals are measured against rtol * |A|_inf.  The
+    start block and the columns added when it grows are drawn from one
+    generator seeded with 0.
     """
     A = A.tocsc()
     n = A.shape[0]
@@ -308,7 +299,7 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600, seed=0):
     lu, sigma = factor(sigma)
     m_cap = min(n - 1, max(128, 4 * k))
     m = min(k + 2, m_cap)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     X = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
     X, _ = np.linalg.qr(X)
     window, prev_res = 8, np.inf
@@ -350,15 +341,15 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600, seed=0):
     )
 
 
-def min_eigenvalue_of(A, rtol=1e-6, dense_cutoff=DENSE_CUTOFF, sigma=None):
+def min_eigenvalue_of(A, rtol=1e-6, sigma=None):
     """Smallest eigenvalue of a sparse Hermitian matrix of either sign.
 
+    Dense solve up to ``DENSE_CUTOFF`` unknowns, ``lowest_pairs`` above.
     ``sigma`` (optional) is a known strict lower bound on the spectrum; a
     good one speeds convergence enormously when the Gershgorin bound is far
     below (weights like D^{-2} make it -1/delta^2).
     """
-    n = A.shape[0]
-    if n <= dense_cutoff:
+    if A.shape[0] <= DENSE_CUTOFF:
         vals = scipy.linalg.eigh(np.asarray(A.todense()), eigvals_only=True,
                                  subset_by_index=(0, 0))
         return float(vals[0])
@@ -432,12 +423,7 @@ def assemble(field, dom, h, delta=0.0, quadrature="midpoint"):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsr()
-    return LatticeOperator(
-        matrix=matrix,
-        grid=grid,
-        quadrature=quadrature,
-        meta={"field_kind": getattr(field, "kind", "unknown"), "h": h, "delta": delta},
-    )
+    return LatticeOperator(matrix=matrix, grid=grid)
 
 
 def _locate_singular_edge(field, starts, axis, h, quadrature):
@@ -455,31 +441,22 @@ def _locate_singular_edge(field, starts, axis, h, quadrature):
     return "unknown"
 
 
-def plaquette_phases(field, base_points, h, axes=(0, 1), quadrature="midpoint"):
-    """Product of the four link phases around the (axes) square at each base
-    point.  For a smooth field this equals exp(-i h^2 b) + O(h^4) with b the
-    field coefficient at the plaquette center; exact for affine potentials."""
+def plaquette_phases(field, base_points, h):
+    """Product of the four midpoint-rule link phases around the square in the
+    (x1, x2) plane at each base point.  For a smooth field this equals
+    exp(-i h^2 b_12) + O(h^4) with b_12 at the plaquette center; exact for
+    affine potentials."""
     pts = np.atleast_2d(np.asarray(base_points, dtype=float))
-    j, k = axes
-    ej = np.zeros(pts.shape[1])
-    ej[j] = 1.0
-    ek = np.zeros(pts.shape[1])
-    ek[k] = 1.0
-    t1 = _edge_phase_exponents(field, pts, j, h, quadrature)
-    t2 = _edge_phase_exponents(field, pts + h * ej, k, h, quadrature)
-    t3 = _edge_phase_exponents(field, pts + h * ek, j, h, quadrature)
-    t4 = _edge_phase_exponents(field, pts, k, h, quadrature)
+    e1, e2 = np.eye(pts.shape[1])[:2]
+    t1 = _edge_phase_exponents(field, pts, 0, h, "midpoint")
+    t2 = _edge_phase_exponents(field, pts + h * e1, 1, h, "midpoint")
+    t3 = _edge_phase_exponents(field, pts + h * e2, 0, h, "midpoint")
+    t4 = _edge_phase_exponents(field, pts, 1, h, "midpoint")
     return np.exp(-1j * (t1 + t2 - t3 - t4))
 
 
 # ---------------------------------------------------------------------------
 # commutator-style lower bound test
-
-
-@dataclass
-class FormTestConfig:
-    K: float
-    calibration: dict
 
 
 def _site_fields(op, field):
@@ -523,25 +500,23 @@ def _trial_vectors(op, n_random, seed, n_eigenvectors):
     return trials
 
 
-def calibrate_form_constant(dom, h, field_builder, strengths=(1.0, 3.0),
-                            n_random=4, seed=11, n_eigenvectors=2):
-    """Calibrate K once: twice the worst observed deficit rate on constant
-    fields of the given strengths at the coarsest spacing."""
-    worst = 0.0
-    records = {}
+def calibrate_form_constant(dom, h, field_builder, strengths=(1.0, 3.0)):
+    """Calibrate K once: twice the worst observed deficit rate on the fields
+    of the given strengths at the coarsest spacing.
+
+    The trials are the K = 0 rows of ``commutator_bound_test`` (4 random
+    pairs with seed 11, two eigenvectors), where slack = form - paired; a
+    negative slack is a deficit, and its rate is -slack / (h |u|_w^2).
+    Returns (K, {strength: rate}).
+    """
+    rates = {}
     for b in strengths:
-        field = field_builder(b)
-        op = assemble(field, dom, h)
-        mats = _site_fields(op, field)
-        norms = norm_sp_batch(mats)
         rate = 0.0
-        for name, u in _trial_vectors(op, n_random, seed, n_eigenvectors):
-            deficit = _paired(op, mats, u) - op.quadratic_form(u)
-            if deficit > 0:
-                rate = max(rate, deficit / (h * _weighted(op, norms, u)))
-        records[b] = rate
-        worst = max(worst, rate)
-    return FormTestConfig(K=2.0 * worst, calibration={"h": h, "rates": records})
+        for row in commutator_bound_test(field_builder(b), dom, h, 0.0, n_random=4, seed=11):
+            if row["slack"] < 0:
+                rate = max(rate, -row["slack"] / (h * row["weighted_norm_sq"]))
+        rates[b] = rate
+    return 2.0 * max(rates.values()), rates
 
 
 def commutator_bound_test(field, dom, h, K, delta=0.0, n_random=4, seed=5,
@@ -584,7 +559,7 @@ def ground_state_deficit(field, dom, h):
 
 
 def hur_hypothesis_probe(field, dom, eps=0.1, deltas=(0.1, 0.05, 0.025),
-                         h_rule=None, tol=1e-6):
+                         h_divisor=2.5, tol=1e-6):
     """Lowest eigenvalue of the operator minus each comparison weight.
 
     Per truncation depth delta, tabulates the minimum eigenvalue of
@@ -592,18 +567,17 @@ def hur_hypothesis_probe(field, dom, eps=0.1, deltas=(0.1, 0.05, 0.025),
         H - (1 - eps) diag(|B|_sp(x))    (column lambda_min_field)
         H - diag(D(x)^{-2})              (column lambda_min_hardy)
 
-    h_rule maps delta to a spacing (default delta / 2.5, satisfying the
-    h < delta/2 precondition).  When the margin |B|_sp D^2 stays below 1
-    near the boundary the hardy column dives like -1/delta^2 as the
-    truncation recedes; a field dominating D^{-2} pointwise keeps it in a
-    fixed band.
+    The spacing is h = delta / h_divisor (h < delta/2 needs h_divisor > 2).
+    When the margin |B|_sp D^2 stays below 1 near the boundary the hardy
+    column dives like -1/delta^2 as the truncation recedes; a field
+    dominating D^{-2} pointwise keeps it in a fixed band.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError("eps must lie in (0, 1)")
     rows = []
     prev = {}
     for delta in deltas:
-        h = h_rule(delta) if h_rule is not None else delta / 2.5
+        h = delta / h_divisor
         op = assemble(field, dom, h, delta=delta)
         sites = op.grid.sites
         bnorm = norm_sp_batch(field.field_matrix_batch(sites, domain=dom))

@@ -41,6 +41,8 @@ INDICIAL_BAND = 1e-6
 # |exponent + 1/2| below this is inconclusive for the solver method.
 EXPONENT_BAND = 0.02
 CRITICAL_COUPLING = 0.75
+# Spectral parameter of the solver method: nonreal, so the Weyl alternative applies.
+SPECTRAL_PARAMETER = 1j
 
 
 @dataclass
@@ -164,19 +166,19 @@ def reduce_monopole(charge):
 # indicial classification
 
 
-def _kind_from_c(c, band=INDICIAL_BAND):
-    if c < CRITICAL_COUPLING - band:
+def _kind_from_c(c):
+    if c < CRITICAL_COUPLING - INDICIAL_BAND:
         return LIMIT_CIRCLE
-    if c > CRITICAL_COUPLING + band:
+    if c > CRITICAL_COUPLING + INDICIAL_BAND:
         return LIMIT_POINT
     return INCONCLUSIVE
 
 
-def classify_indicial(problem: RadialProblem, endpoint, k_range=(2, 8)):
+def classify_indicial(problem: RadialProblem, endpoint):
     """Endpoint type from the extrapolated coupling c = lim dist^2 q(dist).
 
-    Probes dist = 10^-k (scaled by the interval length) for k in ``k_range``
-    and fits dist^2 q linearly in dist over the smallest probes; raises on a
+    Probes dist = 10^-k (scaled by the interval length) for k = 2..8 and
+    fits dist^2 q linearly in dist over the smallest probes; raises on a
     potential more singular than dist^-2 with a negative coefficient, which
     the indicial framework does not cover.
     """
@@ -201,7 +203,7 @@ def classify_indicial(problem: RadialProblem, endpoint, k_range=(2, 8)):
         raise RangeError(f"endpoint {endpoint} is not an endpoint of {problem.interval}")
 
     scale = problem.length_scale()
-    ks = np.arange(k_range[0], k_range[1] + 1)
+    ks = np.arange(2, 9)
     dists = scale * 10.0 ** (-ks.astype(float))
     rs = endpoint + dists if endpoint == a else endpoint - dists
     y = dists**2 * np.asarray(problem.q(rs), dtype=float)
@@ -274,24 +276,19 @@ def _fundamental_magnitudes(g, t0, t_eval, drift):
     return np.maximum(np.abs(sol.y[0::2]), 1e-300), None
 
 
-def classify_by_solving(
-    problem: RadialProblem,
-    endpoint,
-    lam=1j,
-    d0_fraction=0.1,
-    n_windows=14,
-    fit_last=5,
-    band=EXPONENT_BAND,
-):
-    """Endpoint type from the growth exponent of solutions at spectral
-    parameter ``lam`` (nonreal, so the Weyl alternative applies).
+def classify_by_solving(problem: RadialProblem, endpoint):
+    """Endpoint type from the growth exponent of solutions at the spectral
+    parameter lambda = i (``SPECTRAL_PARAMETER``).
 
-    Finite endpoints are integrated in the log coordinate t = ln(dist), where
-    w'' = w' + x^2 (q - lam) w; the dominant measured exponent estimates
-    s_minus and the endpoint is limit point iff it is <= -1/2 - band, limit
-    circle iff >= -1/2 + band, else inconclusive.  Infinite endpoints are
-    integrated in r directly, w'' = (q - lam) w, where a nonreal lam forces
-    exponential growth of the dominant solution (limit point).
+    Finite endpoints are integrated in the log coordinate t = ln(dist) from
+    dist = 0.1 (scaled by the interval length), where
+    w'' = w' + x^2 (q - lambda) w, and sampled at dist halved 4..14 times;
+    the smaller of the two exponents fitted over the last 5 samples
+    estimates s_minus, and the endpoint is limit point iff it is
+    <= -1/2 - ``EXPONENT_BAND``, limit circle iff >= -1/2 + ``EXPONENT_BAND``,
+    else inconclusive.  Infinite endpoints are integrated in r directly,
+    w'' = (q - lambda) w, where a nonreal lambda forces exponential growth of
+    the dominant solution (limit point).
     """
     a, b = problem.interval
     if math.isinf(endpoint):
@@ -300,18 +297,18 @@ def classify_by_solving(
         drift, fit = 0.0, 8
 
         def g(r):
-            return complex(problem.q(r)) - lam
+            return complex(problem.q(r)) - SPECTRAL_PARAMETER
     else:
         if not (endpoint == a or endpoint == b):
             raise RangeError(f"endpoint {endpoint} is not an endpoint of {problem.interval}")
         sign = 1.0 if endpoint == a else -1.0
-        t0 = math.log(d0_fraction * problem.length_scale())
-        ts = t0 - math.log(2.0) * np.arange(4, n_windows + 1)
-        drift, fit = 1.0, fit_last
+        t0 = math.log(0.1 * problem.length_scale())
+        ts = t0 - math.log(2.0) * np.arange(4, 15)
+        drift, fit = 1.0, 5
 
         def g(t):
             x = math.exp(t)
-            return x * x * (complex(problem.q(endpoint + sign * x)) - lam)
+            return x * x * (complex(problem.q(endpoint + sign * x)) - SPECTRAL_PARAMETER)
 
     mags, message = _fundamental_magnitudes(g, t0, ts, drift)
     if mags is None:
@@ -322,7 +319,7 @@ def classify_by_solving(
     fits = [_window_slope(ts[-fit:], np.log(m[-fit:])) for m in mags]
     slopes, resids = [f[0] for f in fits], [f[1] for f in fits]
     if math.isinf(endpoint):
-        kind = LIMIT_POINT if max(slopes) > band else INCONCLUSIVE
+        kind = LIMIT_POINT if max(slopes) > EXPONENT_BAND else INCONCLUSIVE
         return EndpointClassification(
             endpoint=endpoint, kind=kind, c=None, s_minus=None, s_plus=None, method="solve",
             diagnostics={"fit_residuals": resids, "growth_rates": slopes},
@@ -331,9 +328,9 @@ def classify_by_solving(
     diags = {"fit_residuals": resids, "windows": len(ts), "exponents": slopes}
     # invert s_minus = (1 - sqrt(1 + 4c))/2 for a c estimate when real-valued
     c_est = s_min * s_min - s_min
-    if s_min > -0.5 + band:
+    if s_min > -0.5 + EXPONENT_BAND:
         kind = LIMIT_CIRCLE
-    elif s_min < -0.5 - band:
+    elif s_min < -0.5 - EXPONENT_BAND:
         kind = LIMIT_POINT
     else:
         kind = INCONCLUSIVE
@@ -344,10 +341,11 @@ def classify_by_solving(
     )
 
 
-def solver_selftest(c_values=(0.0, 0.3, 0.74, 0.76, 2.0)):
-    """Max |measured - exact| growth exponent over pure c/x^2 potentials."""
+def solver_selftest():
+    """Max |measured - exact| growth exponent over the pure c/x^2 potentials
+    c = 0, 0.3, 0.74, 0.76 and 2, on both sides of the transition c = 3/4."""
     worst = 0.0
-    for c in c_values:
+    for c in (0.0, 0.3, 0.74, 0.76, 2.0):
         prob = RadialProblem(
             q=lambda r, _c=c: _c / np.asarray(r, float) ** 2,
             interval=(0.0, 1.0),
@@ -421,9 +419,9 @@ def sweep_alpha(alphas, mode=0, method="indicial"):
     return rows
 
 
-def threshold_bisection(lo=0.5, hi=1.2, mode=0, method="solve", tol=1e-3, max_iter=60):
+def threshold_bisection(lo=0.5, hi=1.2, mode=0, method="solve", tol=1e-3):
     """Bisect the alpha at which the boundary endpoint flips limit circle ->
-    limit point (exact transition alpha = sqrt(3)/2).
+    limit point (exact transition alpha = sqrt(3)/2), at most 60 halvings.
 
     An inconclusive classification means the probe landed inside the method's
     resolution band around the transition, so the midpoint is returned as the
@@ -441,7 +439,7 @@ def threshold_bisection(lo=0.5, hi=1.2, mode=0, method="solve", tol=1e-3, max_it
         return lo
     if k_hi == INCONCLUSIVE:
         return hi
-    for _ in range(max_iter):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol:
             return mid

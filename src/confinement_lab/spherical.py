@@ -76,12 +76,10 @@ def counting_check(m: int, k_max: int) -> bool:
 
     For every k <= k_max, the multiplicities of level k over the charges
     m' = -k, -k + 2, ..., k (queried from ``spectrum``, not assumed) must sum
-    to (k + 1)^2.  The ``m`` argument is validated against ``k_max`` exactly
-    like in ``spectrum`` so both entry points share one precondition.
+    to (k + 1)^2.  The ``m`` argument is validated against ``k_max`` by
+    ``spectrum`` itself, so both entry points share one precondition.
     """
-    _validate_charge(m)
-    if k_max < abs(m) or (k_max - abs(m)) % 2 != 0:
-        raise ValidationError("k_max must be >= |m| and of the same parity")
+    spectrum(m, k_max)
     for k in range(0, k_max + 1):
         total = 0
         for mp in range(-k, k + 1, 2):

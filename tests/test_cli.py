@@ -141,6 +141,52 @@ def test_sweep_alpha_flip_and_bisect(tmp_path):
     assert abs(report["payload"]["threshold_estimate"] - 0.8660254) < 0.05
 
 
+RADIAL_CSV_HEADER = "endpoint,kind,c,s_minus,s_plus\n"
+
+
+@pytest.mark.parametrize("problem,method,csv", [
+    ({"problem": "monopole", "charge": 1}, "indicial",
+     "0,LimitCircle,0.50000000000000022,-0.36602540378443882,1.3660254037844388\n"
+     "inf,LimitPoint,0.5,-0.3660254037844386,1.3660254037844386\n"),
+    # The solver reports no exponents at the infinite end: empty cells.
+    ({"problem": "monopole", "charge": 1}, "solve",
+     "0,LimitCircle,0.50000344621109138,-0.36602739345305435,1.3660273934530545\n"
+     "inf,LimitPoint,,,\n"),
+    ({"problem": "disk_mode", "alpha": 0.5}, "solve",
+     "1,LimitCircle,0.24997522692703877,-0.20708926376168291,1.207089263761683\n"),
+])
+def test_classify_radial_end_to_end(tmp_path, problem, method, csv):
+    spec = {"schema": 1, "task": "classify-radial", "output": "radial",
+            "params": dict(problem, method=method)}
+    rc, outdir = run(tmp_path, spec)
+    assert rc == 0
+    assert (outdir / "radial.csv").read_text() == RADIAL_CSV_HEADER + csv
+    payload = json.loads((outdir / "radial.report.json").read_text())["payload"]
+    # A limit-circle endpoint admits boundary conditions: not ESA.
+    assert payload["esa"] is False
+    assert payload["method"] == method
+
+
+def test_lemma_slack_calibrates_K_when_omitted(tmp_path, monkeypatch):
+    spec = {"schema": 1, "task": "lemma-slack", "field": UNIT_FIELD, "domain": BOX,
+            "params": {"h": 0.4, "n_random": 1}, "output": "slack"}
+    rc, outdir = run(tmp_path, spec)
+    assert rc == 0
+    payload = json.loads((outdir / "slack.report.json").read_text())["payload"]
+    assert payload["K"] == 0.08844315299589733
+    assert payload["calibration"] == {
+        "h": 0.4, "rates": {"1": 0.02279251762124664, "3": 0.04422157649794867}}
+    # The polytope-slack check of ``reproduce`` passes this K, rounded to 8 digits.
+    from confinement_lab import cli
+
+    canned = []
+    monkeypatch.setattr(cli, "_run_canned", lambda task, params, **kw: canned.append(
+        (task, params)) or {"min_slack": 0.0, "n_trials": 0})
+    cli._check_polytope_slack({"min_slack": 0.0})
+    assert canned[0][0] == "lemma-slack"
+    assert canned[0][1]["K"] == round(payload["K"], 8)
+
+
 def test_csv_byte_determinism_and_seed(tmp_path):
     spec = {
         "schema": 1,

@@ -278,18 +278,20 @@ def test_landau_bottom_side10():
     assert vals[0] > DISCRETE_LANDAU
 
 
-def test_dense_and_sparse_paths_agree():
+def test_dense_and_sparse_paths_agree(monkeypatch):
     op = assemble(ConstantField(plane_two_form(1.0)),
                   axis_box([-2.5, -2.5], [2.5, 2.5]), 0.25)
     dense_vals, _ = op.lowest_eigenvalues(k=3)
-    sparse_vals, _ = op.lowest_eigenvalues(k=3, dense_cutoff=10)
+    monkeypatch.setattr(lattice, "DENSE_CUTOFF", 10)
+    sparse_vals, _ = op.lowest_eigenvalues(k=3)
     assert np.max(np.abs(dense_vals - sparse_vals)) < 1e-7
 
 
-def test_eigenvectors_orthonormal_and_sorted():
+def test_eigenvectors_orthonormal_and_sorted(monkeypatch):
+    monkeypatch.setattr(lattice, "DENSE_CUTOFF", 10)
     op = assemble(ConstantField(plane_two_form(1.0)),
                   axis_box([-2.5, -2.5], [2.5, 2.5]), 0.25)
-    vals, vecs = op.lowest_eigenvalues(k=4, dense_cutoff=10)
+    vals, vecs = op.lowest_eigenvalues(k=4)
     assert np.all(np.diff(vals) >= -1e-12)
     gram = vecs.conj().T @ vecs
     assert np.max(np.abs(gram - np.eye(4))) < 1e-8
@@ -380,6 +382,26 @@ def test_shift_advances_keep_inertia_free_factors(monkeypatch):
     assert vals[0] == pytest.approx(0.9922075306392442, rel=1e-12)
 
 
+def test_refused_shift_advance_keeps_the_factor(monkeypatch):
+    op = assemble(ConstantField(plane_two_form(1.0)),
+                  axis_box([-4.0, -4.0], [4.0, 4.0]), 0.25)
+    assert op.n_sites == 1024
+    expected, _ = lowest_pairs(op.matrix, 1, rtol=1e-8, sigma=0.0)
+    calls = []
+    splu = lattice.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(lattice.spla, "splu", counting_splu)
+    monkeypatch.setattr(lattice, "_negative_pivots", lambda lu: 1)
+    vals, _ = lowest_pairs(op.matrix, 1, rtol=1e-8, sigma=0.0)
+    # The zero shift and the refused candidate; no advance is tried after it.
+    assert len(calls) == 2
+    assert abs(vals[0] - expected[0]) < 1e-12
+
+
 def test_singular_shift_retried_below(monkeypatch):
     errors = []
     splu = lattice.spla.splu
@@ -415,14 +437,15 @@ def test_k_range_validated():
         op.lowest_eigenvalues(k=16)
 
 
-def test_indefinite_engine_matches_dense():
+def test_indefinite_engine_matches_dense(monkeypatch):
     op = assemble(ConstantField(plane_two_form(1.0)),
                   axis_box([-2.0, -2.0], [2.0, 2.0]), 0.25)
     w = 3.0 + np.sin(op.grid.sites[:, 0] * 5.0)
     A = (op.matrix - sp.diags(w)).tocsc()
     exact = np.linalg.eigvalsh(A.toarray())[0]
     assert exact < 0
-    got = min_eigenvalue_of(A, rtol=1e-8, dense_cutoff=10)
+    monkeypatch.setattr(lattice, "DENSE_CUTOFF", 10)
+    got = min_eigenvalue_of(A, rtol=1e-8)
     assert got == pytest.approx(exact, abs=1e-6)
     assert gershgorin_lower_bound(A) <= exact
 
@@ -472,10 +495,10 @@ def test_slack_decomposition():
 
 def test_calibrated_constant_and_slack_nonnegative():
     box = axis_box([-4.0, -4.0], [4.0, 4.0])
-    cfg = calibrate_form_constant(box, 0.4,
-                                  lambda b: ConstantField(plane_two_form(b)))
-    assert cfg.K == pytest.approx(0.088443, abs=1e-4)
-    assert cfg.calibration["rates"][3.0] > cfg.calibration["rates"][1.0]
+    K, rates = calibrate_form_constant(box, 0.4,
+                                       lambda b: ConstantField(plane_two_form(b)))
+    assert K == pytest.approx(0.088443, abs=1e-4)
+    assert rates[3.0] > rates[1.0]
     sq = rotated_unit_square()
     cases = [
         (ConstantField(plane_two_form(1.0)), box, 0.2, 0.0),
@@ -483,7 +506,7 @@ def test_calibrated_constant_and_slack_nonnegative():
         (PolytopeField(sq), sq, 0.02, 0.0),
     ]
     for fld, dom, h, delta in cases:
-        rows = commutator_bound_test(fld, dom, h, K=cfg.K, delta=delta,
+        rows = commutator_bound_test(fld, dom, h, K=K, delta=delta,
                                      n_random=5)
         assert all(r["slack"] >= 0.0 for r in rows)
 
@@ -549,7 +572,7 @@ def test_probe_frozen_disk_values():
 
 def test_probe_custom_h_rule():
     rows = hur_hypothesis_probe(DiskCounterexampleField(0.3), Disk2D(1.0),
-                                deltas=(0.1,), h_rule=lambda d: d / 4.0)
+                                deltas=(0.1,), h_divisor=4.0)
     assert rows[0]["h"] == pytest.approx(0.025)
 
 

@@ -66,3 +66,7 @@ class TestCounting:
     def test_counting_validates_input(self):
         with pytest.raises(ValidationError):
             counting_check(2, 7)
+        with pytest.raises(ValidationError):
+            counting_check(1.5, 5)
+        with pytest.raises(ValidationError):
+            counting_check(3, 1)
