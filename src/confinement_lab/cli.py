@@ -290,7 +290,7 @@ def _r_classify_radial(ctx, seed):
         problem = reduce_disk_mode(ctx["alpha"], ctx["mode"])
     else:
         problem = reduce_monopole(ctx["charge"])
-    verdict = esa_verdict_radial(problem, method=ctx["method"])
+    (verdict,) = esa_verdict_radial([problem], method=ctx["method"])
     payload = {
         "problem": ctx["problem"],
         "method": ctx["method"],
@@ -340,20 +340,17 @@ def _r_sweep_alpha(ctx, seed):
 def _r_monopole_verdict(ctx, seed):
     from .radial import esa_verdict_radial, reduce_monopole
 
+    problems = [reduce_monopole(m) for m in ctx["charges"]]
+    esa = {method: [v.esa for v in esa_verdict_radial(problems, method=method)]
+           for method in ("indicial", "solve")}
     rows = []
     payload_rows = []
     all_agree = True
-    for m in ctx["charges"]:
-        problem = reduce_monopole(m)
-        by_method = {
-            method: esa_verdict_radial(problem, method=method).esa
-            for method in ("indicial", "solve")
-        }
-        agree = by_method["indicial"] == by_method["solve"]
+    for m, indicial, solve in zip(ctx["charges"], esa["indicial"], esa["solve"]):
+        agree = indicial == solve
         all_agree = all_agree and agree
-        payload_rows.append({"charge": m, **by_method, "agree": agree})
-        rows.append([str(m), _flag(by_method["indicial"]), _flag(by_method["solve"]),
-                     _flag(agree)])
+        payload_rows.append({"charge": m, "indicial": indicial, "solve": solve, "agree": agree})
+        rows.append([str(m), _flag(indicial), _flag(solve), _flag(agree)])
     payload = {"rows": payload_rows, "all_agree": all_agree}
     csv = _csv_table(["charge", "esa_indicial", "esa_solve", "agree"], rows)
     return payload, csv, [], None

@@ -18,7 +18,9 @@ equation at a nonreal spectral parameter in the log coordinate t = ln(dist),
 
 whose solutions grow like e^{s t}; the dominant measured exponent is s_minus,
 and the endpoint is limit point iff s_minus <= -1/2 (then x^{s_minus} just
-fails to be square integrable).
+fails to be square integrable).  The problems that share an endpoint are
+integrated as one stacked system, so step control is the RMS over the batch
+and a classification can move at about 1e-10 with its batch mates.
 """
 
 import cmath
@@ -252,72 +254,60 @@ def classify_indicial(problem: RadialProblem, endpoint):
 # solver-based classification
 
 
-def _window_slope(ts, logmags):
-    """Least-squares slope of log|w| against t, with the max deviation."""
-    coef = np.polyfit(ts, logmags, 1)
-    resid = logmags - np.polyval(coef, ts)
-    return float(coef[0]), float(np.max(np.abs(resid)))
+def _coefficient(problem, endpoint):
+    """g of w'' = drift w' + g(t) w for ``problem`` at ``endpoint``: q - lambda
+    at r = t toward infinity, x^2 (q - lambda) at dist x = e^t from a finite
+    endpoint."""
+    if math.isinf(endpoint):
+        return lambda r: complex(problem.q(r)) - SPECTRAL_PARAMETER
+    a, b = problem.interval
+    if not (endpoint == a or endpoint == b):
+        raise RangeError(f"endpoint {endpoint} is not an endpoint of {problem.interval}")
+    sign = 1.0 if endpoint == a else -1.0
+
+    def g(t):
+        x = math.exp(t)
+        return x * x * (complex(problem.q(endpoint + sign * x)) - SPECTRAL_PARAMETER)
+    return g
 
 
-def _fundamental_magnitudes(g, t0, t_eval, drift):
-    """|w| at ``t_eval`` for both solutions of w'' = drift w' + g(t) w with
-    w(t0) = 1, w'(t0) = 0 and w(t0) = 0, w'(t0) = 1, integrated together as the
-    fundamental system [w1, w1', w2, w2'] (one ``g`` call per stage).  Returns
-    the (2, len(t_eval)) magnitudes, or None and the solver's message."""
+def _fundamental_magnitudes(coefficients, t0, t_eval, drift, start=0):
+    """|w| at ``t_eval`` for both solutions of w'' = drift w' + g_k(t) w with
+    w(t0) = 1, w'(t0) = 0 and w(t0) = 0, w'(t0) = 1, for every coefficient g_k,
+    integrated together as the stacked fundamental system [w1, w1', w2, w2'] x n
+    (one call of each g_k per stage).  Returns one entry per coefficient: its
+    (2, len(t_eval)) magnitudes, or the solver's message when its integration
+    failed.  A failed batch is split in halves down to single members, so only
+    the failing members are lost.  A coefficient that is not finite raises
+    SingularityError: the step-size control would never leave it."""
 
     def rhs(t, y):
-        gv = g(t)
-        return [y[1], drift * y[1] + gv * y[0], y[3], drift * y[3] + gv * y[2]]
+        gv = [g(t) for g in coefficients]
+        if not all(map(cmath.isfinite, gv)):
+            bad = next(k for k, v in enumerate(gv) if not cmath.isfinite(v))
+            raise SingularityError(
+                f"coefficient of member {start + bad} is not finite at t = {t!r}")
+        w = y.reshape(-1, 2, 2)  # (member, solution, (w, w'))
+        dw = np.empty_like(w)
+        dw[..., 0] = w[..., 1]
+        dw[..., 1] = drift * w[..., 1] + np.array(gv)[:, None] * w[..., 0]
+        return dw.ravel()
 
-    sol = solve_ivp(rhs, (t0, t_eval[-1]), [1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j],
+    n = len(coefficients)
+    sol = solve_ivp(rhs, (t0, t_eval[-1]), np.tile([1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j], n),
                     t_eval=t_eval, rtol=1e-10, atol=1e-12, method="DOP853")
-    if not sol.success:
-        return None, sol.message
-    return np.maximum(np.abs(sol.y[0::2]), 1e-300), None
+    if sol.success:
+        return list(np.maximum(np.abs(sol.y[0::2]), 1e-300).reshape(n, 2, -1))
+    if n == 1:
+        return [sol.message]
+    half = n // 2
+    return (_fundamental_magnitudes(coefficients[:half], t0, t_eval, drift, start)
+            + _fundamental_magnitudes(coefficients[half:], t0, t_eval, drift, start + half))
 
 
-def classify_by_solving(problem: RadialProblem, endpoint):
-    """Endpoint type from the growth exponent of solutions at the spectral
-    parameter lambda = i (``SPECTRAL_PARAMETER``).
-
-    Finite endpoints are integrated in the log coordinate t = ln(dist) from
-    dist = 0.1 (scaled by the interval length), where
-    w'' = w' + x^2 (q - lambda) w, and sampled at dist halved 4..14 times;
-    the smaller of the two exponents fitted over the last 5 samples
-    estimates s_minus, and the endpoint is limit point iff it is
-    <= -1/2 - ``EXPONENT_BAND``, limit circle iff >= -1/2 + ``EXPONENT_BAND``,
-    else inconclusive.  Infinite endpoints are integrated in r directly,
-    w'' = (q - lambda) w, where a nonreal lambda forces exponential growth of
-    the dominant solution (limit point).
-    """
-    a, b = problem.interval
-    if math.isinf(endpoint):
-        t0 = 10.0 * problem.length_scale()
-        ts = np.linspace(t0, t0 + 30.0, 16)
-        drift, fit = 0.0, 8
-
-        def g(r):
-            return complex(problem.q(r)) - SPECTRAL_PARAMETER
-    else:
-        if not (endpoint == a or endpoint == b):
-            raise RangeError(f"endpoint {endpoint} is not an endpoint of {problem.interval}")
-        sign = 1.0 if endpoint == a else -1.0
-        t0 = math.log(0.1 * problem.length_scale())
-        ts = t0 - math.log(2.0) * np.arange(4, 15)
-        drift, fit = 1.0, 5
-
-        def g(t):
-            x = math.exp(t)
-            return x * x * (complex(problem.q(endpoint + sign * x)) - SPECTRAL_PARAMETER)
-
-    mags, message = _fundamental_magnitudes(g, t0, ts, drift)
-    if mags is None:
-        return EndpointClassification(
-            endpoint=endpoint, kind=INCONCLUSIVE, c=None, s_minus=None, s_plus=None,
-            method="solve", diagnostics={"reason": f"integration failed: {message}"},
-        )
-    fits = [_window_slope(ts[-fit:], np.log(m[-fit:])) for m in mags]
-    slopes, resids = [f[0] for f in fits], [f[1] for f in fits]
+def _from_exponents(endpoint, slopes, resids, windows):
+    """Classification from the two fitted exponents (growth rates toward
+    infinity) and their fit residuals."""
     if math.isinf(endpoint):
         kind = LIMIT_POINT if max(slopes) > EXPONENT_BAND else INCONCLUSIVE
         return EndpointClassification(
@@ -325,7 +315,7 @@ def classify_by_solving(problem: RadialProblem, endpoint):
             diagnostics={"fit_residuals": resids, "growth_rates": slopes},
         )
     s_min = min(slopes)
-    diags = {"fit_residuals": resids, "windows": len(ts), "exponents": slopes}
+    diags = {"fit_residuals": resids, "windows": windows, "exponents": slopes}
     # invert s_minus = (1 - sqrt(1 + 4c))/2 for a c estimate when real-valued
     c_est = s_min * s_min - s_min
     if s_min > -0.5 + EXPONENT_BAND:
@@ -341,18 +331,72 @@ def classify_by_solving(problem: RadialProblem, endpoint):
     )
 
 
+def classify_by_solving(problems, endpoint):
+    """Endpoint type of each problem from the growth exponent of its
+    solutions at the spectral parameter lambda = i (``SPECTRAL_PARAMETER``);
+    one classification per problem, in order.
+
+    Finite endpoints are integrated in the log coordinate t = ln(dist) from
+    dist = 0.1 (scaled by the interval length), where
+    w'' = w' + x^2 (q - lambda) w, and sampled at dist halved 4..14 times;
+    the smaller of the two exponents fitted over the last 5 samples
+    estimates s_minus, and the endpoint is limit point iff it is
+    <= -1/2 - ``EXPONENT_BAND``, limit circle iff >= -1/2 + ``EXPONENT_BAND``,
+    else inconclusive.  Infinite endpoints are integrated in r directly,
+    w'' = (q - lambda) w, where a nonreal lambda forces exponential growth of
+    the dominant solution (limit point).
+
+    The problems must share one length scale (else ValidationError): they are
+    integrated as one system, so step control is the RMS over the batch.
+    """
+    problems = list(problems)
+    if not problems:
+        return []
+    scales = sorted({p.length_scale() for p in problems})
+    if len(scales) > 1:
+        raise ValidationError(f"a batch needs one length scale, got {scales}")
+    if math.isinf(endpoint):
+        t0 = 10.0 * scales[0]
+        ts = np.linspace(t0, t0 + 30.0, 16)
+        drift, fit = 0.0, 8
+    else:
+        t0 = math.log(0.1 * scales[0])
+        ts = t0 - math.log(2.0) * np.arange(4, 15)
+        drift, fit = 1.0, 5
+    results = _fundamental_magnitudes([_coefficient(p, endpoint) for p in problems],
+                                      t0, ts, drift)
+
+    solved = [m for m in results if not isinstance(m, str)]
+    if solved:
+        # both exponents of every solved member, as the columns of one fit
+        logs = np.log(np.concatenate(solved)[:, -fit:]).T
+        coef = np.polyfit(ts[-fit:], logs, 1)
+        resid = np.max(np.abs(logs - np.polyval(coef, ts[-fit:, None])), axis=0)
+        fits = zip(coef[0].reshape(-1, 2).tolist(), resid.reshape(-1, 2).tolist())
+    return [
+        EndpointClassification(
+            endpoint=endpoint, kind=INCONCLUSIVE, c=None, s_minus=None, s_plus=None,
+            method="solve", diagnostics={"reason": f"integration failed: {m}"},
+        ) if isinstance(m, str) else _from_exponents(endpoint, *next(fits), len(ts))
+        for m in results
+    ]
+
+
 def solver_selftest():
     """Max |measured - exact| growth exponent over the pure c/x^2 potentials
     c = 0, 0.3, 0.74, 0.76 and 2, on both sides of the transition c = 3/4."""
-    worst = 0.0
-    for c in (0.0, 0.3, 0.74, 0.76, 2.0):
-        prob = RadialProblem(
+    couplings = (0.0, 0.3, 0.74, 0.76, 2.0)
+    problems = [
+        RadialProblem(
             q=lambda r, _c=c: _c / np.asarray(r, float) ** 2,
             interval=(0.0, 1.0),
             decisive_endpoints=(0.0,),
             provenance={"reduction": "selftest"},
         )
-        cls = classify_by_solving(prob, 0.0)
+        for c in couplings
+    ]
+    worst = 0.0
+    for c, cls in zip(couplings, classify_by_solving(problems, 0.0)):
         exact = (1.0 - math.sqrt(1.0 + 4.0 * c)) / 2.0
         worst = max(worst, abs(min(cls.diagnostics["exponents"]) - exact))
     return worst
@@ -363,22 +407,35 @@ def solver_selftest():
 
 
 def _classifier(method):
+    """(problems, endpoint) -> one classification per problem."""
     if method == "indicial":
-        return classify_indicial
+        return lambda problems, endpoint: [classify_indicial(p, endpoint) for p in problems]
     if method == "solve":
         return classify_by_solving
     raise ValidationError("method must be 'indicial' or 'solve'")
 
 
-def esa_verdict_radial(problem: RadialProblem, method="indicial") -> EsaVerdict:
-    """Essential self-adjointness from the decisive endpoints: ESA iff every
-    one is limit point.  Coordinate-artifact endpoints are ignored; a caveat
-    records that a mode verdict transfers to the full operator through the
-    mode decomposition."""
+def esa_verdict_radial(problems, method="indicial"):
+    """One EsaVerdict per problem: essential self-adjointness from the
+    decisive endpoints, ESA iff every one is limit point.  Coordinate-artifact
+    endpoints are ignored; a caveat records that a mode verdict transfers to
+    the full operator through the mode decomposition.  The problems that share
+    an endpoint and a length scale are classified as one batch."""
     classify = _classifier(method)
-    reports = {}
-    for ep in problem.decisive_endpoints:
-        reports[ep] = classify(problem, ep)
+    problems = list(problems)
+    batches = {}
+    for k, p in enumerate(problems):
+        for ep in p.decisive_endpoints:
+            batches.setdefault((ep, p.length_scale()), []).append(k)
+    found = {}
+    for (ep, _), members in batches.items():
+        for k, cls in zip(members, classify([problems[k] for k in members], ep)):
+            found[k, ep] = cls
+    return [_verdict(p, {ep: found[k, ep] for ep in p.decisive_endpoints})
+            for k, p in enumerate(problems)]
+
+
+def _verdict(problem, reports):
     kinds = [r.kind for r in reports.values()]
     if any(k == INCONCLUSIVE for k in kinds):
         esa = None
@@ -402,26 +459,19 @@ def esa_verdict_radial(problem: RadialProblem, method="indicial") -> EsaVerdict:
 
 def sweep_alpha(alphas, mode=0, method="indicial"):
     """Rows (alpha, c, s_minus, s_plus, kind) at the boundary endpoint r = 1."""
-    classify = _classifier(method)
-    rows = []
-    for alpha in alphas:
-        prob = reduce_disk_mode(float(alpha), mode)
-        cls = classify(prob, 1.0)
-        rows.append(
-            {
-                "alpha": float(alpha),
-                "c": cls.c,
-                "s_minus": cls.s_minus,
-                "s_plus": cls.s_plus,
-                "kind": cls.kind,
-            }
-        )
-    return rows
+    alphas = [float(alpha) for alpha in alphas]
+    found = _classifier(method)([reduce_disk_mode(alpha, mode) for alpha in alphas], 1.0)
+    return [
+        {"alpha": alpha, "c": cls.c, "s_minus": cls.s_minus, "s_plus": cls.s_plus,
+         "kind": cls.kind}
+        for alpha, cls in zip(alphas, found)
+    ]
 
 
 def threshold_bisection(lo=0.5, hi=1.2, mode=0, method="solve", tol=1e-3):
     """Bisect the alpha at which the boundary endpoint flips limit circle ->
     limit point (exact transition alpha = sqrt(3)/2), at most 60 halvings.
+    The bracket ends are classified as one batch.
 
     An inconclusive classification means the probe landed inside the method's
     resolution band around the transition, so the midpoint is returned as the
@@ -429,10 +479,10 @@ def threshold_bisection(lo=0.5, hi=1.2, mode=0, method="solve", tol=1e-3):
     """
     classify = _classifier(method)
 
-    def kind_at(alpha):
-        return classify(reduce_disk_mode(alpha, mode), 1.0).kind
+    def kinds_at(*alphas):
+        return [cls.kind for cls in classify([reduce_disk_mode(a, mode) for a in alphas], 1.0)]
 
-    k_lo, k_hi = kind_at(lo), kind_at(hi)
+    k_lo, k_hi = kinds_at(lo, hi)
     if k_lo == k_hi:
         raise ValidationError(f"bracket [{lo}, {hi}] does not straddle the transition")
     if k_lo == INCONCLUSIVE:
@@ -443,7 +493,7 @@ def threshold_bisection(lo=0.5, hi=1.2, mode=0, method="solve", tol=1e-3):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol:
             return mid
-        k_mid = kind_at(mid)
+        (k_mid,) = kinds_at(mid)
         if k_mid == INCONCLUSIVE:
             return mid
         if k_mid == k_lo:

@@ -150,8 +150,8 @@ def test_ac05_monopole_esa_verdicts():
     ok = True
     for m in (1, -1, 2, -2, 3, -3, 4, -4):
         prob = reduce_monopole(m)
-        vi = esa_verdict_radial(prob, method="indicial")
-        vs = esa_verdict_radial(prob, method="solve")
+        vi = esa_verdict_radial([prob], method="indicial")[0]
+        vs = esa_verdict_radial([prob], method="solve")[0]
         expected = abs(m) >= 2
         ok = ok and vi.esa is expected and vs.esa is expected
     elapsed = time.perf_counter() - t0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confinement_lab.errors import RangeError, SingularityError, ValidationError
 from confinement_lab.radial import (
@@ -31,6 +33,30 @@ def synthetic_problem(c):
         decisive_endpoints=(0.0,),
         provenance={"reduction": "synthetic"},
     )
+
+
+def pole_problem():
+    """A fourth-order pole at r = 0.05, inside the window integrated toward 0."""
+    return RadialProblem(
+        q=lambda r: 1.0 / (np.asarray(r, float) - 0.05) ** 4,
+        interval=(0.0, 1.0),
+        decisive_endpoints=(0.0,),
+        provenance={"reduction": "synthetic"},
+    )
+
+
+def rates(cls):
+    """The two fitted exponents, or growth rates at an infinite endpoint."""
+    return cls.diagnostics["exponents" if math.isfinite(cls.endpoint) else "growth_rates"]
+
+
+disk_batches = st.lists(st.floats(0.3, 1.2, exclude_min=True, exclude_max=True),
+                        min_size=1, max_size=5).map(
+    lambda alphas: ([reduce_disk_mode(a, 0) for a in alphas], 1.0))
+monopole_batches = st.tuples(
+    st.lists(st.sampled_from([m for m in range(-5, 6) if m]), min_size=1, max_size=5),
+    st.sampled_from([0.0, math.inf]),
+).map(lambda drawn: ([reduce_monopole(m) for m in drawn[0]], drawn[1]))
 
 
 def counted(problem):
@@ -150,21 +176,21 @@ class TestSolving:
 
     def test_exponent_matches_indicial_root(self):
         for alpha, exact_c in ((0.5, 0.25), (1.0, 1.0)):
-            cls = classify_by_solving(reduce_disk_mode(alpha, 0), 1.0)
+            cls = classify_by_solving([reduce_disk_mode(alpha, 0)], 1.0)[0]
             exact = (1.0 - math.sqrt(1.0 + 4.0 * exact_c)) / 2.0
             assert min(cls.diagnostics["exponents"]) == pytest.approx(exact, abs=2e-3)
 
     def test_verdicts_match_indicial_away_from_threshold(self):
-        assert classify_by_solving(reduce_disk_mode(0.5, 0), 1.0).kind == LIMIT_CIRCLE
-        assert classify_by_solving(reduce_disk_mode(1.0, 0), 1.0).kind == LIMIT_POINT
+        assert classify_by_solving([reduce_disk_mode(0.5, 0)], 1.0)[0].kind == LIMIT_CIRCLE
+        assert classify_by_solving([reduce_disk_mode(1.0, 0)], 1.0)[0].kind == LIMIT_POINT
 
     def test_critical_coupling_is_inconclusive(self):
-        cls = classify_by_solving(synthetic_problem(0.75), 0.0)
+        cls = classify_by_solving([synthetic_problem(0.75)], 0.0)[0]
         assert cls.kind == INCONCLUSIVE
         assert abs(min(cls.diagnostics["exponents"]) + 0.5) < EXPONENT_BAND
 
     def test_infinite_endpoint_limit_point(self):
-        cls = classify_by_solving(reduce_monopole(2), math.inf)
+        cls = classify_by_solving([reduce_monopole(2)], math.inf)[0]
         assert cls.kind == LIMIT_POINT
         # nonreal spectral parameter forces growth Re sqrt(-i) = sqrt(2)/2
         assert max(cls.diagnostics["growth_rates"]) == pytest.approx(math.sqrt(2) / 2, abs=1e-2)
@@ -172,7 +198,7 @@ class TestSolving:
     def test_infinite_endpoint_fit_residuals(self):
         # The residual is the curvature of the WKB phase over the last 8
         # samples: Re sqrt(-i + c/r^2) = sqrt(2)/2 + c/(2 sqrt(2) r^2) + ...
-        cls = classify_by_solving(reduce_monopole(2), math.inf)
+        cls = classify_by_solving([reduce_monopole(2)], math.inf)[0]
         r = np.linspace(26.0, 40.0, 8)
         tail = -1.0 / (2.0 * math.sqrt(2.0) * r)
         curvature = np.max(np.abs(tail - np.polyval(np.polyfit(r, tail, 1), r)))
@@ -180,14 +206,16 @@ class TestSolving:
         assert len(resids) == 2 and all(math.isfinite(v) for v in resids)
         assert resids == pytest.approx([curvature, curvature], rel=0.01)
 
+    # ``problem`` is a batch; each member stays within the single-problem budget.
     @pytest.mark.parametrize("problem, endpoint, budget", [
-        (reduce_disk_mode(0.9, 0), 1.0, 600),
-        (reduce_monopole(2), math.inf, 2000),
+        ([reduce_disk_mode(0.9, 0)], 1.0, 600),
+        ([reduce_monopole(2)], math.inf, 2000),
+        ([reduce_disk_mode(0.9, 0), reduce_disk_mode(0.5, 0)], 1.0, 600),
     ])
     def test_q_evaluations_per_classification(self, problem, endpoint, budget):
-        calls = counted(problem)
+        calls = [counted(p) for p in problem]
         classify_by_solving(problem, endpoint)
-        assert len(calls) <= budget
+        assert max(len(c) for c in calls) <= budget
 
     # Recorded with an independent integration (RK45, one solve per initial
     # condition, same tolerances and windows).
@@ -201,37 +229,86 @@ class TestSolving:
          [0.7074424761164978, 0.7074424761071467]),
     ])
     def test_exponents_pinned(self, problem, endpoint, key, expected):
-        cls = classify_by_solving(problem, endpoint)
+        cls = classify_by_solving([problem], endpoint)[0]
         assert cls.diagnostics[key] == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.one_of(disk_batches, monopole_batches))
+    def test_batch_matches_one_at_a_time(self, batch):
+        problems, endpoint = batch
+        together = classify_by_solving(problems, endpoint)
+        alone = [classify_by_solving([p], endpoint)[0] for p in problems]
+        assert [c.kind for c in together] == [c.kind for c in alone]
+        for got, want in zip(together, alone):
+            assert rates(got) == pytest.approx(rates(want), rel=1e-9, abs=0.0)
+        # Step control is the RMS over the batch, so the member order enters
+        # only through the rounding of that sum (up to 4.4e-12 seen).
+        reversed_ = classify_by_solving(problems[::-1], endpoint)[::-1]
+        for got, want in zip(reversed_, together):
+            assert rates(got) == pytest.approx(rates(want), rel=1e-11, abs=0.0)
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    def test_failed_member_alone_is_inconclusive(self):
+        pole, other = classify_by_solving([pole_problem(), synthetic_problem(0.3)], 0.0)
+        assert pole.kind == INCONCLUSIVE
+        assert pole.diagnostics == {"reason": "integration failed: Required step size "
+                                              "is less than spacing between numbers."}
+        assert other == classify_by_solving([synthetic_problem(0.3)], 0.0)[0]
+
+    def test_non_finite_potential_raises(self):
+        # A NaN error norm never lets the step-size control exit.
+        nan = RadialProblem(q=lambda r: np.asarray(r, float) * np.nan, interval=(0.0, 1.0),
+                            decisive_endpoints=(0.0,), provenance={})
+        with pytest.raises(SingularityError, match="member 1 is not finite at t = "):
+            classify_by_solving([synthetic_problem(0.3), nan], 0.0)
+
+    def test_batch_needs_one_length_scale(self):
+        short = RadialProblem(q=lambda r: np.zeros_like(np.asarray(r, float)),
+                              interval=(0.0, 0.5), decisive_endpoints=(0.0,), provenance={})
+        with pytest.raises(ValidationError):
+            classify_by_solving([synthetic_problem(0.3), short], 0.0)
+
+    def test_empty_batch(self):
+        assert classify_by_solving([], 0.0) == []
 
     def test_oscillatory_subcritical_is_limit_circle(self):
         # c < -1/4 gives complex indicial roots with real part 1/2: limit circle
-        cls = classify_by_solving(synthetic_problem(-1.0), 0.0)
+        cls = classify_by_solving([synthetic_problem(-1.0)], 0.0)[0]
         assert cls.kind == LIMIT_CIRCLE
 
 
 class TestVerdicts:
     def test_monopole_esa_iff_two_flux_quanta(self):
-        assert esa_verdict_radial(reduce_monopole(2)).esa is True
-        assert esa_verdict_radial(reduce_monopole(-2)).esa is True
-        assert esa_verdict_radial(reduce_monopole(1)).esa is False
-        assert esa_verdict_radial(reduce_monopole(-1)).esa is False
-        assert esa_verdict_radial(reduce_monopole(0)).esa is False
+        assert esa_verdict_radial([reduce_monopole(2)])[0].esa is True
+        assert esa_verdict_radial([reduce_monopole(-2)])[0].esa is True
+        assert esa_verdict_radial([reduce_monopole(1)])[0].esa is False
+        assert esa_verdict_radial([reduce_monopole(-1)])[0].esa is False
+        assert esa_verdict_radial([reduce_monopole(0)])[0].esa is False
 
     def test_disk_esa_flips_at_critical_alpha(self):
-        below = esa_verdict_radial(reduce_disk_mode(0.5, 0))
+        below = esa_verdict_radial([reduce_disk_mode(0.5, 0)])[0]
         assert below.esa is False
         assert any("mode decomposition" in c for c in below.caveats)
-        above = esa_verdict_radial(reduce_disk_mode(1.0, 0))
+        above = esa_verdict_radial([reduce_disk_mode(1.0, 0)])[0]
         assert above.esa is True
 
     def test_inconclusive_exact_threshold(self):
-        verdict = esa_verdict_radial(reduce_disk_mode(SQRT3_2, 0))
+        verdict = esa_verdict_radial([reduce_disk_mode(SQRT3_2, 0)])[0]
         assert verdict.esa is None
 
+    def test_batch_keeps_order_and_endpoints(self):
+        problems = [reduce_monopole(1), reduce_disk_mode(0.5, 0), reduce_monopole(2)]
+        verdicts = esa_verdict_radial(problems, method="solve")
+        assert [v.esa for v in verdicts] == [False, False, True]
+        assert [list(v.endpoint_reports) for v in verdicts] == [[0.0, math.inf], [1.0],
+                                                                 [0.0, math.inf]]
+        # the two monopoles, and only they, form the batch at the origin
+        assert verdicts[2].endpoint_reports[0.0] == classify_by_solving(
+            [reduce_monopole(1), reduce_monopole(2)], 0.0)[1]
+
     def test_solve_method_agrees(self):
-        assert esa_verdict_radial(reduce_monopole(2), method="solve").esa is True
-        assert esa_verdict_radial(reduce_disk_mode(0.5, 0), method="solve").esa is False
+        assert esa_verdict_radial([reduce_monopole(2)], method="solve")[0].esa is True
+        assert esa_verdict_radial([reduce_disk_mode(0.5, 0)], method="solve")[0].esa is False
 
 
 class TestSweepAndBisection:
