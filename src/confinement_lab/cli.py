@@ -38,17 +38,21 @@ class SpecError(Exception):
 # parameter table interpreter
 #
 # A task's parameters are rows (name, type, default, rules).  The type is
-# float, int, bool, (float,) or (int,) for a nonempty list, a set of choices,
-# or a dict mapping each choice to the rows it brings along.  The rules are
-# gt/ge (bounds), nonzero, length and decreasing; list rules bound each entry.
+# float, int, bool, str, (float,) or (int,) for a nonempty list, a set of
+# choices, or a dict mapping each choice to the rows it brings along.  The
+# rules are gt/ge (bounds), nonzero, length and decreasing; list rules bound
+# each entry.  The thresholds of reproduce's checks are rows of the same form.
 
 REQUIRED = object()  # default of a parameter the spec must give
 _NOUNS = {float: ("a number", "a non-number", "numbers"),
-          int: ("an integer", "a non-integer", "integers")}
+          int: ("an integer", "a non-integer", "integers"),
+          bool: ("true or false",), str: ("a string",)}
 
 
 def _of_type(kind, raw):
-    return not isinstance(raw, bool) and isinstance(raw, (int, float) if kind is float else int)
+    """Whether raw is a JSON value of the row type; a bool is no number."""
+    return (isinstance(raw, (int, float) if kind is float else kind)
+            and (kind is bool or not isinstance(raw, bool)))
 
 
 def _bound(subject, val, rules):
@@ -60,38 +64,35 @@ def _bound(subject, val, rules):
         raise SpecError(f"{subject} must be nonzero")
 
 
-def _param(row, raw):
+def _param(subject, row, raw):
+    """The value of one row, read from raw; subject names it in errors."""
     name, kind, default, rules = row
     if isinstance(kind, (set, dict)):
         if not isinstance(raw, str) or raw not in kind:
-            raise SpecError(f"parameter {name!r} must be one of {sorted(kind)}, got {raw!r}")
+            raise SpecError(f"{subject} must be one of {sorted(kind)}, got {raw!r}")
         return raw
     if raw is None and default is None:  # an optional number or list left out
         return None
-    if kind is bool:
-        if not isinstance(raw, bool):
-            raise SpecError(f"parameter {name!r} must be true or false, got {raw!r}")
-        return raw
     if not isinstance(kind, tuple):
         if not _of_type(kind, raw):
-            raise SpecError(f"parameter {name!r} must be {_NOUNS[kind][0]}, got {raw!r}")
+            raise SpecError(f"{subject} must be {_NOUNS[kind][0]}, got {raw!r}")
         val = kind(raw)
-        _bound(f"parameter {name!r}", val, rules)
+        _bound(subject, val, rules)
         return val
     (item,) = kind
     _, non, plural = _NOUNS[item]
     if not isinstance(raw, (list, tuple)) or not raw:
-        raise SpecError(f"parameter {name!r} must be a nonempty list of {plural}")
+        raise SpecError(f"{subject} must be a nonempty list of {plural}")
     for v in raw:
         if not _of_type(item, v):
-            raise SpecError(f"parameter {name!r} holds {non} {v!r}")
+            raise SpecError(f"{subject} holds {non} {v!r}")
     vals = [item(v) for v in raw]
     if "length" in rules and len(vals) != rules["length"]:
-        raise SpecError(f"parameter {name!r} must have exactly {rules['length']} entries")
+        raise SpecError(f"{subject} must have exactly {rules['length']} entries")
     for v in vals:
         _bound(f"entries of {name!r}", v, rules)
     if rules.get("decreasing") and any(b >= a for a, b in zip(vals, vals[1:])):
-        raise SpecError(f"parameter {name!r} must be strictly decreasing")
+        raise SpecError(f"{subject} must be strictly decreasing")
     return vals
 
 
@@ -101,7 +102,7 @@ def _read(rows, params, task, ctx):
         raw = params.pop(name, default)
         if raw is REQUIRED:
             raise SpecError(f"task {task!r} needs parameter {name!r}")
-        ctx[name] = _param(row, raw)
+        ctx[name] = _param(f"parameter {name!r}", row, raw)
         if isinstance(kind, dict):
             _read(kind[ctx[name]], params, task, ctx)
 
@@ -665,184 +666,145 @@ def _validate_spec(path):
 # reproduce: bundled example specs with pass/fail lines
 
 
-DEFAULT_THRESHOLDS = {
-    "polytope-slack": {"min_slack": 0.0},
-    "toroidal-direction": {"verdict": "CONFINING_D2", "max_oscillation": 0.05},
-    "ball-boundary-form": {"n_zeros": 2, "norm_lo": 1.95, "norm_hi": 2.05},
-    "disk-threshold": {"circle_alpha": 0.8, "point_alpha": 0.9},
-    "disk-ctrex-verdict": {"verdict": "BELOW_THRESHOLD", "liminf": 0.5,
-                           "liminf_tol": 0.01},
-    "monopole-esa": {"esa_m1": False, "esa_m2": True, "esa_m4": True},
-    "spherical-ground": {"k": 1, "value": 0.5, "multiplicity": 2},
-    "landau-window": {"lo": 0.9, "hi": 1.1},
-}
-
-
-def _run_canned(task, params=None, field=None, domain=None, seed=0):
-    spec = {"schema": SCHEMA_VERSION, "task": task}
-    if params:
-        spec["params"] = params
-    if field is not None:
-        spec["field"] = field
-    if domain is not None:
-        spec["domain"] = domain
-    payload, _, _, _ = TASKS[task].runner(_validate(spec), seed)
+def _run_canned(spec):
+    payload, _, _, _ = TASKS[spec["task"]].runner(_validate(spec), spec.get("seed", 0))
     return payload
 
 
-def _check_polytope_slack(t):
+def _polytope_slack(t):
     from .domains import rotated_unit_square
 
     dom = rotated_unit_square().to_json()
-    payload = _run_canned(
-        "lemma-slack",
-        params={"h": 0.02, "K": 0.08844315, "n_random": 10},
-        field={"kind": "polytope_field", "domain": dom},
-        domain=dom,
-        seed=5,
-    )
-    ok = payload["min_slack"] >= t["min_slack"]
-    return ok, f"min slack {payload['min_slack']:.3e} over {payload['n_trials']} trials"
+    return _run_canned({"task": "lemma-slack", "field": {"kind": "polytope_field", "domain": dom},
+                        "domain": dom, "params": {"h": 0.02, "K": 0.08844315, "n_random": 10},
+                        "seed": 5})
 
 
-def _check_toroidal_direction(t):
-    from .domains import SolidTorus3D
-
-    dom = SolidTorus3D(2.0, 1.0).to_json()
-    payload = _run_canned(
-        "scan-criterion",
-        params={"anchors": 32},
-        field={"kind": "toroidal", "alpha": 2.0, "domain": dom},
-    )
-    ok = (payload["verdict"] == t["verdict"]
-          and payload["direction_oscillation"] <= t["max_oscillation"])
-    return ok, (f"verdict {payload['verdict']}, oscillation "
-                f"{payload['direction_oscillation']:.2e}")
-
-
-def _check_ball_boundary_form(t):
+def _ball_boundary_form(t):
+    # No task serves boundary_one_form_analysis, so the check calls it itself.
     from .domains import Ball3D
-    from .fields import (NonToroidalField, RotationOneForm,
-                         boundary_one_form_analysis)
+    from .fields import NonToroidalField, RotationOneForm, boundary_one_form_analysis
 
     report = boundary_one_form_analysis(NonToroidalField(Ball3D(1.0)))
-    norms = [z.derivative_norm_sp for z in report.zeros]
-    ok = (len(report.zeros) == t["n_zeros"]
-          and all(t["norm_lo"] <= v <= t["norm_hi"] for v in norms)
-          and report.assumption_satisfied)
     weak = boundary_one_form_analysis(
         NonToroidalField(Ball3D(1.0), base_one_form=RotationOneForm(0.4))
     )
-    ok = ok and not weak.assumption_satisfied
-    return ok, (f"{len(report.zeros)} zeros, |d omega|_sp = "
-                + ", ".join(f"{v:.4f}" for v in norms)
-                + f"; weakened flag {weak.assumption_satisfied}")
+    return {"norms": [z.derivative_norm_sp for z in report.zeros],
+            "assumption_satisfied": report.assumption_satisfied,
+            "weakened_satisfied": weak.assumption_satisfied}
 
 
-def _check_disk_threshold(t):
-    payload = _run_canned(
-        "sweep-alpha",
-        params={"range": [0.3, 1.2], "step": 0.1},
-    )
-    kinds = {round(r["alpha"], 6): r["kind"] for r in payload["rows"]}
-    ok = (kinds.get(t["circle_alpha"]) == "LimitCircle"
-          and kinds.get(t["point_alpha"]) == "LimitPoint")
-    return ok, (f"alpha {t['circle_alpha']} -> {kinds.get(t['circle_alpha'])}, "
-                f"alpha {t['point_alpha']} -> {kinds.get(t['point_alpha'])}")
+def _disk_threshold(p, t):
+    kinds = {round(r["alpha"], 6): r["kind"] for r in p["rows"]}
+    circle, point = kinds.get(t["circle_alpha"]), kinds.get(t["point_alpha"])
+    return (circle == "LimitCircle" and point == "LimitPoint",
+            f"alpha {t['circle_alpha']} -> {circle}, alpha {t['point_alpha']} -> {point}")
 
 
-def _check_disk_ctrex_verdict(t):
-    payload = _run_canned(
-        "scan-criterion",
-        field={"kind": "disk_counterexample", "alpha": 0.5},
-    )
-    ok = (payload["verdict"] == t["verdict"]
-          and abs(payload["liminf_estimate"] - t["liminf"]) <= t["liminf_tol"])
-    return ok, (f"verdict {payload['verdict']}, liminf "
-                f"{payload['liminf_estimate']:.4f}")
+def _monopole_esa(p, t):
+    esa = {r["charge"]: r["indicial"] for r in p["rows"]}
+    ok = p["all_agree"] and all(esa[m] is t[f"esa_m{m}"] for m in (1, 2, 4))
+    return ok, (", ".join(f"m={m}: {_flag(esa[m])}" for m in (1, 2, 4))
+                + ("; methods agree" if p["all_agree"] else "; METHODS DISAGREE"))
 
 
-def _check_monopole_esa(t):
-    payload = _run_canned("monopole-verdict", params={"charges": [1, 2, 4]})
-    by_charge = {r["charge"]: r for r in payload["rows"]}
-    ok = (payload["all_agree"]
-          and by_charge[1]["indicial"] is t["esa_m1"]
-          and by_charge[2]["indicial"] is t["esa_m2"]
-          and by_charge[4]["indicial"] is t["esa_m4"])
-    verdicts = ", ".join(f"m={m}: {_flag(by_charge[m]['indicial'])}"
-                         for m in (1, 2, 4))
-    return ok, verdicts + ("; methods agree" if payload["all_agree"]
-                           else "; METHODS DISAGREE")
+def _spherical_ground(p, t):
+    g = p["ground"]
+    ok = ((g["k"], g["value"], g["multiplicity"]) == (t["k"], t["value"], t["multiplicity"])
+          and p["counting_check"])
+    return ok, (f"ground (k={g['k']}, lambda={g['value']}, mult={g['multiplicity']}), "
+                f"counting {'ok' if p['counting_check'] else 'BROKEN'}")
 
 
-def _check_spherical_ground(t):
-    payload = _run_canned("spherical-table", params={"m": 1, "k_max": 5})
-    g = payload["ground"]
-    ok = (g["k"] == t["k"] and g["value"] == t["value"]
-          and g["multiplicity"] == t["multiplicity"]
-          and payload["counting_check"])
-    return ok, (f"ground (k={g['k']}, lambda={g['value']}, "
-                f"mult={g['multiplicity']}), counting "
-                f"{'ok' if payload['counting_check'] else 'BROKEN'}")
+# threshold rows (as in Task.rows), thresholds -> payload, and
+# (payload, thresholds) -> (passed, detail line)
+Check = namedtuple("Check", "rows run verdict")
 
-
-def _check_landau_window(t):
-    payload = _run_canned(
-        "landau-check",
-        params={"side": 20.0, "h": 0.25, "window": [t["lo"], t["hi"]]},
-    )
-    return payload["within_window"], (
-        f"lambda_1/b = {payload['lambda_1_over_b']:.6f} in "
-        f"[{t['lo']}, {t['hi']}]: {payload['within_window']}"
-    )
-
-
-REPRODUCE_CHECKS = [
-    ("polytope-slack", _check_polytope_slack),
-    ("toroidal-direction", _check_toroidal_direction),
-    ("ball-boundary-form", _check_ball_boundary_form),
-    ("disk-threshold", _check_disk_threshold),
-    ("disk-ctrex-verdict", _check_disk_ctrex_verdict),
-    ("monopole-esa", _check_monopole_esa),
-    ("spherical-ground", _check_spherical_ground),
-    ("landau-window", _check_landau_window),
-]
+REPRODUCE = {
+    "polytope-slack": Check(
+        [("min_slack", float, 0.0, {})],
+        _polytope_slack,
+        lambda p, t: (p["min_slack"] >= t["min_slack"],
+                      f"min slack {p['min_slack']:.3e} over {p['n_trials']} trials")),
+    "toroidal-direction": Check(
+        [("verdict", str, "CONFINING_D2", {}), ("max_oscillation", float, 0.05, {})],
+        lambda t: _run_canned({"task": "scan-criterion", "params": {"anchors": 32}, "field": {
+            "kind": "toroidal", "alpha": 2.0,
+            "domain": {"kind": "solid_torus3d", "major_radius": 2.0, "minor_radius": 1.0}}}),
+        lambda p, t: (p["verdict"] == t["verdict"]
+                      and p["direction_oscillation"] <= t["max_oscillation"],
+                      f"verdict {p['verdict']}, oscillation {p['direction_oscillation']:.2e}")),
+    "ball-boundary-form": Check(
+        [("n_zeros", int, 2, {}), ("norm_lo", float, 1.95, {}), ("norm_hi", float, 2.05, {})],
+        _ball_boundary_form,
+        lambda p, t: (len(p["norms"]) == t["n_zeros"]
+                      and all(t["norm_lo"] <= v <= t["norm_hi"] for v in p["norms"])
+                      and p["assumption_satisfied"] and not p["weakened_satisfied"],
+                      f"{len(p['norms'])} zeros, |d omega|_sp = "
+                      + ", ".join(f"{v:.4f}" for v in p["norms"])
+                      + f"; weakened flag {p['weakened_satisfied']}")),
+    "disk-threshold": Check(
+        [("circle_alpha", float, 0.8, {}), ("point_alpha", float, 0.9, {})],
+        lambda t: _run_canned({"task": "sweep-alpha",
+                               "params": {"range": [0.3, 1.2], "step": 0.1}}),
+        _disk_threshold),
+    "disk-ctrex-verdict": Check(
+        [("verdict", str, "BELOW_THRESHOLD", {}), ("liminf", float, 0.5, {}),
+         ("liminf_tol", float, 0.01, {})],
+        lambda t: _run_canned({"task": "scan-criterion",
+                               "field": {"kind": "disk_counterexample", "alpha": 0.5}}),
+        lambda p, t: (p["verdict"] == t["verdict"]
+                      and abs(p["liminf_estimate"] - t["liminf"]) <= t["liminf_tol"],
+                      f"verdict {p['verdict']}, liminf {p['liminf_estimate']:.4f}")),
+    "monopole-esa": Check(
+        [("esa_m1", bool, False, {}), ("esa_m2", bool, True, {}), ("esa_m4", bool, True, {})],
+        lambda t: _run_canned({"task": "monopole-verdict", "params": {"charges": [1, 2, 4]}}),
+        _monopole_esa),
+    "spherical-ground": Check(
+        [("k", int, 1, {}), ("value", float, 0.5, {}), ("multiplicity", int, 2, {})],
+        lambda t: _run_canned({"task": "spherical-table", "params": {"m": 1, "k_max": 5}}),
+        _spherical_ground),
+    "landau-window": Check(
+        [("lo", float, 0.9, {}), ("hi", float, 1.1, {})],
+        lambda t: _run_canned({"task": "landau-check", "params": {
+            "side": 20.0, "h": 0.25, "window": [t["lo"], t["hi"]]}}),
+        lambda p, t: (p["within_window"], f"lambda_1/b = {p['lambda_1_over_b']:.6f} in "
+                                          f"[{t['lo']}, {t['hi']}]: {p['within_window']}")),
+}
 
 
 def _load_thresholds(arg):
-    merged = {name: dict(vals) for name, vals in DEFAULT_THRESHOLDS.items()}
-    if arg is None:
-        return merged
-    text = arg
-    if not arg.lstrip().startswith("{"):
+    """Each check's thresholds: the rows' defaults, overridden by the
+    ``--thresholds`` JSON (inline, or a file path) and read by ``_param``."""
+    override = {}
+    if arg is not None:
+        text = arg
+        if not arg.lstrip().startswith("{"):
+            try:
+                with open(arg, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as err:
+                raise SpecError(f"cannot read thresholds file: {err}") from err
         try:
-            with open(arg, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as err:
-            raise SpecError(f"cannot read thresholds file: {err}") from err
-    try:
-        override = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise SpecError(f"thresholds are not valid JSON: {err}") from err
-    if not isinstance(override, dict):
-        raise SpecError("thresholds must be a JSON object")
+            override = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise SpecError(f"thresholds are not valid JSON: {err}") from err
+        if not isinstance(override, dict):
+            raise SpecError("thresholds must be a JSON object")
     for name, vals in override.items():
-        if name not in merged:
+        if name not in REPRODUCE:
             raise SpecError(f"unknown reproduce check {name!r}")
         if not isinstance(vals, dict):
             raise SpecError(f"thresholds for {name!r} must be an object")
-        unknown = set(vals) - set(merged[name])
+        unknown = set(vals) - {row[0] for row in REPRODUCE[name].rows}
         if unknown:
             raise SpecError(
                 f"unknown threshold key(s) for {name!r}: {', '.join(sorted(unknown))}"
             )
-        for key, val in vals.items():
-            kind = type(merged[name][key])
-            if not (isinstance(val, kind) if kind in (bool, str) else _of_type(kind, val)):
-                noun = {bool: "true or false", str: "a string"}.get(kind) or _NOUNS[kind][0]
-                raise SpecError(f"threshold {key!r} for {name!r} must be {noun}, got {val!r}")
-        merged[name].update(vals)
-    return merged
+    return {name: {row[0]: _param(f"threshold {row[0]!r} for {name!r}", row,
+                                  override.get(name, {}).get(row[0], row[2]))
+                   for row in check.rows}
+            for name, check in REPRODUCE.items()}
 
 
 def _reproduce(thresholds_arg):
@@ -852,10 +814,10 @@ def _reproduce(thresholds_arg):
     from . import criterion, domains, fields, lattice, radial, spherical  # noqa: F401
 
     failures = []
-    for name, check in REPRODUCE_CHECKS:
+    for name, check in REPRODUCE.items():
         started = time.perf_counter()
         try:
-            ok, detail = check(thresholds[name])
+            ok, detail = check.verdict(check.run(thresholds[name]), thresholds[name])
         except Exception as err:  # a crashed check is a failed check
             ok, detail = False, f"error: {err}"
         wall = time.perf_counter() - started
@@ -864,10 +826,10 @@ def _reproduce(thresholds_arg):
         if not ok:
             failures.append(name)
     if failures:
-        print(f"{len(failures)} of {len(REPRODUCE_CHECKS)} checks failed: "
+        print(f"{len(failures)} of {len(REPRODUCE)} checks failed: "
               + ", ".join(failures))
         return 1
-    print(f"all {len(REPRODUCE_CHECKS)} checks passed")
+    print(f"all {len(REPRODUCE)} checks passed")
     return EXIT_OK
 
 

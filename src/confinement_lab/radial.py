@@ -294,8 +294,11 @@ def _fundamental_magnitudes(coefficients, t0, t_eval, drift, start=0):
         return dw.ravel()
 
     n = len(coefficients)
-    sol = solve_ivp(rhs, (t0, t_eval[-1]), np.tile([1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j], n),
-                    t_eval=t_eval, rtol=1e-10, atol=1e-12, method="DOP853")
+    # A diverging integration overflows inside the DOP853 step; sol.success
+    # reports that failure, so numpy's warnings about it are not raised.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, (t0, t_eval[-1]), np.tile([1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j], n),
+                        t_eval=t_eval, rtol=1e-10, atol=1e-12, method="DOP853")
     if sol.success:
         return list(np.maximum(np.abs(sol.y[0::2]), 1e-300).reshape(n, 2, -1))
     if n == 1:

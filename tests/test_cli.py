@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -204,11 +205,11 @@ def test_lemma_slack_calibrates_K_when_omitted(tmp_path, monkeypatch):
     from confinement_lab import cli
 
     canned = []
-    monkeypatch.setattr(cli, "_run_canned", lambda task, params, **kw: canned.append(
-        (task, params)) or {"min_slack": 0.0, "n_trials": 0})
-    cli._check_polytope_slack({"min_slack": 0.0})
-    assert canned[0][0] == "lemma-slack"
-    assert canned[0][1]["K"] == round(payload["K"], 8)
+    monkeypatch.setattr(cli, "_run_canned", lambda spec: canned.append(spec) or {
+        "min_slack": 0.0, "n_trials": 0})
+    cli.REPRODUCE["polytope-slack"].run({"min_slack": 0.0})
+    assert canned[0]["task"] == "lemma-slack"
+    assert canned[0]["params"]["K"] == round(payload["K"], 8)
 
 
 def test_csv_byte_determinism_and_seed(tmp_path):
@@ -282,6 +283,67 @@ def test_reproduce_threshold_types(capsys, override, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_reproduce_thresholds_from_file(tmp_path, capsys):
+    override = {"spherical-ground": {"value": 0.75}, "landau-window": {"lo": 0.85}}
+    path = tmp_path / "thresholds.json"
+    path.write_text(json.dumps(override))
+    outputs = []
+    for arg in (str(path), json.dumps(override)):
+        assert main(["reproduce", "--thresholds", arg]) == 1
+        outputs.append(re.sub(r" \(\d+\.\ds\)$", "", capsys.readouterr().out, flags=re.M))
+    assert outputs[0] == outputs[1]
+    assert "FAIL  spherical-ground" in outputs[0]
+    assert "in [0.85, 1.1]: True" in outputs[0]
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "error: cannot read thresholds file: "),
+    ("{bad", "error: thresholds are not valid JSON: "),
+    ("[1, 2]", "error: thresholds must be a JSON object\n"),
+    ('{"landau-window": 3}', "error: thresholds for 'landau-window' must be an object\n"),
+])
+def test_reproduce_thresholds_file_rejected(tmp_path, capsys, content, message):
+    path = tmp_path / "thresholds.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["reproduce", "--thresholds", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.out == ""
+
+
+def test_reproduce_default_thresholds():
+    from confinement_lab import cli
+
+    defaults = {
+        "polytope-slack": {"min_slack": 0.0},
+        "toroidal-direction": {"verdict": "CONFINING_D2", "max_oscillation": 0.05},
+        "ball-boundary-form": {"n_zeros": 2, "norm_lo": 1.95, "norm_hi": 2.05},
+        "disk-threshold": {"circle_alpha": 0.8, "point_alpha": 0.9},
+        "disk-ctrex-verdict": {"verdict": "BELOW_THRESHOLD", "liminf": 0.5,
+                               "liminf_tol": 0.01},
+        "monopole-esa": {"esa_m1": False, "esa_m2": True, "esa_m4": True},
+        "spherical-ground": {"k": 1, "value": 0.5, "multiplicity": 2},
+        "landau-window": {"lo": 0.9, "hi": 1.1},
+    }
+    ints = {"n_zeros", "k", "multiplicity"}
+    loaded = cli._load_thresholds(None)
+    assert loaded == defaults
+    assert list(loaded) == list(defaults)
+    for name, vals in loaded.items():
+        for key, val in vals.items():
+            want = (int if key in ints else bool if key.startswith("esa_m")
+                    else str if key == "verdict" else float)
+            assert type(val) is want, (name, key)
+
+
+def test_reproduce_integer_threshold_reads_as_float():
+    from confinement_lab import cli
+
+    lo = cli._load_thresholds('{"landau-window": {"lo": 1}}')["landau-window"]["lo"]
+    assert lo == 1.0 and type(lo) is float
 
 
 def test_schema_version_enforced(tmp_path):
@@ -490,9 +552,8 @@ def test_reproduce_timers_start_after_module_import():
 
     src = os.path.dirname(os.path.dirname(confinement_lab.__file__))
     code = ("import sys, confinement_lab.cli as cli; "
-            "cli.REPRODUCE_CHECKS = [('probe', lambda t: (True, "
-            "str('scipy.optimize' in sys.modules)))]; "
-            "cli.DEFAULT_THRESHOLDS = {'probe': {}}; "
+            "cli.REPRODUCE = {'probe': cli.Check([], lambda t: 'scipy.optimize' in sys.modules, "
+            "lambda p, t: (True, str(p)))}; "
             "cli.main(['reproduce'])")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -247,7 +247,7 @@ class TestSolving:
         for got, want in zip(reversed_, together):
             assert rates(got) == pytest.approx(rates(want), rel=1e-11, abs=0.0)
 
-    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_member_alone_is_inconclusive(self):
         pole, other = classify_by_solving([pole_problem(), synthetic_problem(0.3)], 0.0)
         assert pole.kind == INCONCLUSIVE
