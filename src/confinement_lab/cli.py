@@ -147,39 +147,33 @@ def _validate(spec):
 
 
 # ---------------------------------------------------------------------------
-# CSV helpers (byte-deterministic for a given spec + seed)
+# output encoding (byte-deterministic for a given spec + seed)
 
 
-def _g(x):
-    return "%.17g" % float(x)
-
-
-def _gc(x):
-    """Format a possibly-complex scalar (indicial exponents oscillate below
-    the transition); empty cell when the method reports none."""
-    if x is None:
+def _cell(v):
+    """One CSV cell: a float as %.17g, a complex as a+bi (a float when its
+    imaginary part is zero), None empty, a list ';'-joined, else str."""
+    if v is None:
         return ""
-    z = complex(x)
-    if z.imag == 0.0:
-        return _g(z.real)
-    return "%s%+si" % (_g(z.real), _g(z.imag))
+    if isinstance(v, list):
+        return ";".join(map(_cell, v))
+    if isinstance(v, complex):
+        return _cell(v.real) if v.imag == 0.0 else "%.17g%+.17gi" % (v.real, v.imag)
+    if isinstance(v, float):
+        return "%.17g" % v
+    return str(v)
 
 
-def _jc(x):
-    """JSON form of a possibly-complex scalar: plain float, or [re, im]."""
-    if x is None:
-        return None
-    z = complex(x)
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
+def _json_complex(v):
+    """``json.dump`` hook: a complex is a float when real, else [re, im]."""
+    if not isinstance(v, complex):
+        raise TypeError(f"{type(v).__name__} is not JSON serializable")
+    return v.real if v.imag == 0.0 else [v.real, v.imag]
 
 
-def _csv_table(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def _pick(header, dicts):
+    """(header, rows) of the dicts' values under the header's keys."""
+    return header, [[d[k] for k in header] for d in dicts]
 
 
 def _flag(b):
@@ -189,7 +183,8 @@ def _flag(b):
 
 
 # ---------------------------------------------------------------------------
-# task runners (context -> payload, CSV, warnings, operator) and the task table
+# task runners (context -> payload, (CSV header, rows), warnings, operator),
+# all raw values, and the task table
 
 
 def _r_scan_criterion(ctx, seed):
@@ -203,13 +198,10 @@ def _r_scan_criterion(ctx, seed):
         eta0=ctx["eta0"],
         seed=seed,
     )
-    samples = report.samples
-    columns = [samples[name].tolist() for name in samples.dtype.names]
-    payload = dict(vars(report), samples=[dict(zip(samples.dtype.names, row))
-                                          for row in zip(*columns)])
-    rows = [[str(a)] + [_g(v) for v in rest] + [";".join(map(_g, point))]
-            for a, *rest, point in zip(*columns)]
-    return payload, _csv_table(samples.dtype.names, rows), list(report.warnings), None
+    names = report.samples.dtype.names
+    rows = list(zip(*(report.samples[name].tolist() for name in names)))
+    payload = dict(vars(report), samples=[dict(zip(names, row)) for row in rows])
+    return payload, (names, rows), list(report.warnings), None
 
 
 def _r_direction_scan(ctx, seed):
@@ -222,10 +214,8 @@ def _r_direction_scan(ctx, seed):
         depths=ctx["depths"],
         seed=seed,
     )
-    rows = [[str(i), _g(v)] for i, v in enumerate(result["per_anchor"])]
-    csv = _csv_table(["anchor", "oscillation"], rows)
-    warnings = list(result.pop("warnings"))
-    return result, csv, warnings, None
+    table = (["anchor", "oscillation"], list(enumerate(result["per_anchor"])))
+    return result, table, list(result.pop("warnings")), None
 
 
 def _r_eig(ctx, seed):
@@ -233,16 +223,15 @@ def _r_eig(ctx, seed):
 
     op = assemble(ctx["field"], ctx["domain"], ctx["h"], delta=ctx["delta"],
                   quadrature=ctx["quadrature"])
-    vals, _ = op.lowest_eigenvalues(k=ctx["k"])
+    vals = op.lowest_eigenvalues(k=ctx["k"])[0].tolist()
     payload = {
         "n_sites": op.n_sites,
         "h": ctx["h"],
         "delta": ctx["delta"],
         "quadrature": ctx["quadrature"],
-        "eigenvalues": [float(v) for v in vals],
+        "eigenvalues": vals,
     }
-    rows = [[str(i), _g(v)] for i, v in enumerate(vals)]
-    return payload, _csv_table(["index", "eigenvalue"], rows), [], op
+    return payload, (["index", "eigenvalue"], list(enumerate(vals))), [], op
 
 
 def _r_hur_probe(ctx, seed):
@@ -259,29 +248,12 @@ def _r_hur_probe(ctx, seed):
     payload = {
         "eps": ctx["eps"],
         "h_divisor": ctx["h_divisor"],
-        "rows": [dict(r) for r in rows],
+        "rows": rows,
         "bounded_below": bool(rows[-1]["lambda_min_hardy"]
                               >= rows[0]["lambda_min_hardy"] - abs(rows[0]["lambda_min_hardy"])),
     }
-    table = [
-        [_g(r["delta"]), _g(r["h"]), str(r["n_sites"]), _g(r["lambda_min_field"]),
-         _g(r["lambda_min_hardy"]), _g(r["hardy_scaled"])]
-        for r in rows
-    ]
-    csv = _csv_table(
-        ["delta", "h", "n_sites", "lambda_min_field", "lambda_min_hardy",
-         "hardy_scaled"],
-        table,
-    )
-    return payload, csv, [], None
-
-
-def _endpoint_rows(verdict):
-    rows = []
-    for ep in sorted(verdict.endpoint_reports):
-        cls = verdict.endpoint_reports[ep]
-        rows.append([_g(ep), cls.kind, _gc(cls.c), _gc(cls.s_minus), _gc(cls.s_plus)])
-    return rows
+    header = ["delta", "h", "n_sites", "lambda_min_field", "lambda_min_hardy", "hardy_scaled"]
+    return payload, _pick(header, rows), [], None
 
 
 def _r_classify_radial(ctx, seed):
@@ -292,50 +264,32 @@ def _r_classify_radial(ctx, seed):
     else:
         problem = reduce_monopole(ctx["charge"])
     (verdict,) = esa_verdict_radial([problem], method=ctx["method"])
+    header = ["endpoint", "kind", "c", "s_minus", "s_plus"]
+    rows = [[ep, cls.kind, cls.c, cls.s_minus, cls.s_plus]
+            for ep, cls in sorted(verdict.endpoint_reports.items())]
     payload = {
         "problem": ctx["problem"],
         "method": ctx["method"],
         "esa": verdict.esa,
         "basis": verdict.basis,
         "caveats": list(verdict.caveats),
-        "endpoints": {
-            _g(ep): {
-                "kind": cls.kind,
-                "c": _jc(cls.c),
-                "s_minus": _jc(cls.s_minus),
-                "s_plus": _jc(cls.s_plus),
-            }
-            for ep, cls in verdict.endpoint_reports.items()
-        },
+        "endpoints": {_cell(ep): dict(zip(header[1:], rest)) for ep, *rest in rows},
     }
-    csv = _csv_table(["endpoint", "kind", "c", "s_minus", "s_plus"],
-                     _endpoint_rows(verdict))
-    return payload, csv, [], None
+    return payload, (header, rows), [], None
 
 
 def _r_sweep_alpha(ctx, seed):
     from .radial import sweep_alpha, threshold_bisection
 
     rows = sweep_alpha(ctx["alphas"], mode=ctx["mode"], method=ctx["method"])
-    json_rows = [
-        {"alpha": r["alpha"], "c": float(r["c"]), "s_minus": _jc(r["s_minus"]),
-         "s_plus": _jc(r["s_plus"]), "kind": r["kind"]}
-        for r in rows
-    ]
-    payload = {"method": ctx["method"], "mode": ctx["mode"], "rows": json_rows}
-    warnings = []
+    payload = {"method": ctx["method"], "mode": ctx["mode"], "rows": rows}
     if ctx["bisect"]:
         estimate = threshold_bisection(
             lo=min(ctx["alphas"]), hi=max(ctx["alphas"]), mode=ctx["mode"],
             method="solve",
         )
         payload["threshold_estimate"] = float(estimate)
-    table = [
-        [_g(r["alpha"]), _g(r["c"]), _gc(r["s_minus"]), _gc(r["s_plus"]), r["kind"]]
-        for r in rows
-    ]
-    csv = _csv_table(["alpha", "c", "s_minus", "s_plus", "kind"], table)
-    return payload, csv, warnings, None
+    return payload, _pick(["alpha", "c", "s_minus", "s_plus", "kind"], rows), [], None
 
 
 def _r_monopole_verdict(ctx, seed):
@@ -344,27 +298,19 @@ def _r_monopole_verdict(ctx, seed):
     problems = [reduce_monopole(m) for m in ctx["charges"]]
     esa = {method: [v.esa for v in esa_verdict_radial(problems, method=method)]
            for method in ("indicial", "solve")}
-    rows = []
-    payload_rows = []
-    all_agree = True
-    for m, indicial, solve in zip(ctx["charges"], esa["indicial"], esa["solve"]):
-        agree = indicial == solve
-        all_agree = all_agree and agree
-        payload_rows.append({"charge": m, "indicial": indicial, "solve": solve, "agree": agree})
-        rows.append([str(m), _flag(indicial), _flag(solve), _flag(agree)])
-    payload = {"rows": payload_rows, "all_agree": all_agree}
-    csv = _csv_table(["charge", "esa_indicial", "esa_solve", "agree"], rows)
-    return payload, csv, [], None
+    rows = [{"charge": m, "indicial": indicial, "solve": solve, "agree": indicial == solve}
+            for m, indicial, solve in zip(ctx["charges"], esa["indicial"], esa["solve"])]
+    payload = {"rows": rows, "all_agree": all(r["agree"] for r in rows)}
+    table = [[r["charge"], _flag(r["indicial"]), _flag(r["solve"]), _flag(r["agree"])]
+             for r in rows]
+    return payload, (["charge", "esa_indicial", "esa_solve", "agree"], table), [], None
 
 
 def _r_spherical_table(ctx, seed):
     from .spherical import counting_check, spectrum
 
     spec_table = spectrum(ctx["m"], ctx["k_max"])
-    rows = [
-        [str(k), str(num), str(den), _g(num / den), str(mult)]
-        for k, num, den, mult in spec_table.rows()
-    ]
+    rows = [[k, num, den, num / den, mult] for k, num, den, mult in spec_table.rows()]
     ground = spec_table.levels[0]
     payload = {
         "charge": ctx["m"],
@@ -376,16 +322,11 @@ def _r_spherical_table(ctx, seed):
             "denominator": ground.value.denominator,
             "multiplicity": ground.multiplicity,
         },
-        "levels": [
-            {"k": k, "numerator": num, "denominator": den, "value": num / den,
-             "multiplicity": mult}
-            for k, num, den, mult in spec_table.rows()
-        ],
+        "levels": [dict(zip(("k", "numerator", "denominator", "value", "multiplicity"), row))
+                   for row in rows],
         "counting_check": bool(counting_check(ctx["m"], ctx["k_max"])),
     }
-    csv = _csv_table(["k", "numerator", "denominator", "lambda", "multiplicity"],
-                     rows)
-    return payload, csv, [], None
+    return payload, (["k", "numerator", "denominator", "lambda", "multiplicity"], rows), [], None
 
 
 def _r_landau_check(ctx, seed):
@@ -397,9 +338,9 @@ def _r_landau_check(ctx, seed):
     half = ctx["side"] / 2.0
     op = assemble(ConstantField(plane_two_form(ctx["b"])),
                   axis_box([-half, -half], [half, half]), ctx["h"])
-    vals, _ = op.lowest_eigenvalues(k=ctx["k"])
+    vals = op.lowest_eigenvalues(k=ctx["k"])[0].tolist()
     lo, hi = ctx["window"]
-    scaled = float(vals[0]) / ctx["b"]
+    scaled = vals[0] / ctx["b"]
     within = bool(lo <= scaled <= hi)
     warnings = []
     if not within:
@@ -411,13 +352,12 @@ def _r_landau_check(ctx, seed):
         "side": ctx["side"],
         "h": ctx["h"],
         "n_sites": op.n_sites,
-        "eigenvalues": [float(v) for v in vals],
+        "eigenvalues": vals,
         "lambda_1_over_b": scaled,
         "window": [lo, hi],
         "within_window": within,
     }
-    rows = [[str(i), _g(v)] for i, v in enumerate(vals)]
-    return payload, _csv_table(["index", "eigenvalue"], rows), warnings, op
+    return payload, (["index", "eigenvalue"], list(enumerate(vals))), warnings, op
 
 
 def _r_lemma_slack(ctx, seed):
@@ -437,7 +377,7 @@ def _r_lemma_slack(ctx, seed):
         )
         payload["calibration"] = {
             "h": ctx["calibration_h"],
-            "rates": {_g(s): float(r) for s, r in rates.items()},
+            "rates": {_cell(s): float(r) for s, r in rates.items()},
         }
     rows = commutator_bound_test(
         ctx["field"], ctx["domain"], ctx["h"], K, delta=ctx["delta"],
@@ -449,15 +389,8 @@ def _r_lemma_slack(ctx, seed):
         n_trials=len(rows),
         min_slack=float(min(r["slack"] for r in rows)),
     )
-    table = [
-        [r["trial"], _g(r["h"]), _g(r["slack"]), _g(r["form"]), _g(r["paired"]),
-         _g(r["weighted_norm_sq"])]
-        for r in rows
-    ]
-    csv = _csv_table(
-        ["trial", "h", "slack", "form", "paired", "weighted_norm_sq"], table
-    )
-    return payload, csv, [], None
+    header = ["trial", "h", "slack", "form", "paired", "weighted_norm_sq"]
+    return payload, _pick(header, rows), [], None
 
 
 def _check_truncation(ctx):
@@ -617,7 +550,7 @@ def _run_spec(path, outdir, seed_flag, dump_matrix):
     if seed < 0:
         raise SpecError("'--seed' must be a nonnegative integer")
     started = time.perf_counter()
-    payload, csv_text, warnings, op = TASKS[spec["task"]].runner(ctx, seed)
+    payload, (header, rows), warnings, op = TASKS[spec["task"]].runner(ctx, seed)
     wall = time.perf_counter() - started
 
     from . import __version__
@@ -635,14 +568,12 @@ def _run_spec(path, outdir, seed_flag, dump_matrix):
     base = spec.get("output", spec["task"])
     json_path = os.path.join(outdir, base + ".report.json")
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, default=_json_complex)
         fh.write("\n")
-    written = [json_path]
-    if csv_text is not None:
-        csv_path = os.path.join(outdir, base + ".csv")
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
-        written.append(csv_path)
+    csv_path = os.path.join(outdir, base + ".csv")
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+    written = [json_path, csv_path]
     if dump_matrix:
         if op is None:
             warnings.append("--dump-matrix: this task assembles no matrix")
@@ -716,9 +647,10 @@ def _spherical_ground(p, t):
                 f"counting {'ok' if p['counting_check'] else 'BROKEN'}")
 
 
-# threshold rows (as in Task.rows), thresholds -> payload, and
-# (payload, thresholds) -> (passed, detail line)
-Check = namedtuple("Check", "rows run verdict")
+# threshold rows (as in Task.rows), thresholds -> payload,
+# (payload, thresholds) -> (passed, detail line), and a cross-threshold check
+# run after the rows (as Task.check)
+Check = namedtuple("Check", "rows run verdict check", defaults=(None,))
 
 REPRODUCE = {
     "polytope-slack": Check(
@@ -769,17 +701,20 @@ REPRODUCE = {
         lambda t: _run_canned({"task": "landau-check", "params": {
             "side": 20.0, "h": 0.25, "window": [t["lo"], t["hi"]]}}),
         lambda p, t: (p["within_window"], f"lambda_1/b = {p['lambda_1_over_b']:.6f} in "
-                                          f"[{t['lo']}, {t['hi']}]: {p['within_window']}")),
+                                          f"[{t['lo']}, {t['hi']}]: {p['within_window']}"),
+        lambda t: _check_window({"window": [t["lo"], t["hi"]]})),
 }
 
 
 def _load_thresholds(arg):
     """Each check's thresholds: the rows' defaults, overridden by the
-    ``--thresholds`` JSON (inline, or a file path) and read by ``_param``."""
+    ``--thresholds`` JSON and read by ``_param``, then each cross-threshold
+    check.  A value starting with ``{`` or ``[`` is inline JSON, any other a
+    file path."""
     override = {}
     if arg is not None:
         text = arg
-        if not arg.lstrip().startswith("{"):
+        if not arg.lstrip().startswith(("{", "[")):
             try:
                 with open(arg, "r", encoding="utf-8") as fh:
                     text = fh.read()
@@ -801,10 +736,14 @@ def _load_thresholds(arg):
             raise SpecError(
                 f"unknown threshold key(s) for {name!r}: {', '.join(sorted(unknown))}"
             )
-    return {name: {row[0]: _param(f"threshold {row[0]!r} for {name!r}", row,
-                                  override.get(name, {}).get(row[0], row[2]))
-                   for row in check.rows}
-            for name, check in REPRODUCE.items()}
+    thresholds = {name: {row[0]: _param(f"threshold {row[0]!r} for {name!r}", row,
+                                        override.get(name, {}).get(row[0], row[2]))
+                         for row in check.rows}
+                  for name, check in REPRODUCE.items()}
+    for name, check in REPRODUCE.items():
+        if check.check is not None:
+            check.check(thresholds[name])
+    return thresholds
 
 
 def _reproduce(thresholds_arg):

@@ -56,10 +56,6 @@ class Polynomial:
         self.terms = cleaned
         self.dim = dim
 
-    @property
-    def degree(self):
-        return max(sum(e) for _, e in self.terms)
-
     def value(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1])

@@ -151,36 +151,16 @@ class LatticeOperator:
         u = np.asarray(u)
         return float(self.grid.h**self.grid.dim * np.real(np.vdot(u, u)))
 
-    def _check_residuals(self, vals, vecs):
-        scale = max(1.0, spla.norm(self.matrix, np.inf))
-        res = (np.linalg.norm(self.matrix @ vecs - vecs * vals, axis=0)
-               / np.linalg.norm(vecs, axis=0))
-        bad = np.flatnonzero(res > RESIDUAL_RTOL * scale)
-        if bad.size:
-            i = bad[0]
-            raise SolverError(
-                f"eigenpair {i} residual {res[i]:.3e} exceeds {RESIDUAL_RTOL:.0e} * |H| = "
-                f"{RESIDUAL_RTOL * scale:.3e}"
-            )
-
     def lowest_eigenvalues(self, k=1):
-        """k smallest eigenpairs, residual-checked.
+        """k smallest eigenpairs, residual-checked at ``RESIDUAL_RTOL``.
 
-        Dense Hermitian solve up to ``DENSE_CUTOFF`` unknowns; above that, a
-        deterministic shifted block inverse iteration (the assembled operator
-        is positive semidefinite, so the zero shift is always factorable).
+        The sparse path starts from the zero shift: the assembled operator
+        is positive semidefinite, so that shift is always factorable.
         """
         n = self.n_sites
         if k < 1 or k >= n:
             raise ValidationError(f"need 1 <= k < {n}")
-        if n <= DENSE_CUTOFF:
-            vals, vecs = scipy.linalg.eigh(
-                self.matrix.toarray(), subset_by_index=(0, k - 1)
-            )
-        else:
-            vals, vecs = lowest_pairs(self.matrix, k, rtol=RESIDUAL_RTOL, sigma=0.0)
-        self._check_residuals(vals, vecs)
-        return vals, vecs
+        return _eigensolve(self.matrix, k, RESIDUAL_RTOL, 0.0)
 
     def to_matrix_market(self, path):
         scipy.io.mmwrite(str(path), self.matrix.tocoo())
@@ -341,19 +321,38 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
     )
 
 
-def min_eigenvalue_of(A, rtol=1e-6, sigma=None):
-    """Smallest eigenvalue of a sparse Hermitian matrix of either sign.
+def _eigensolve(A, k, rtol, sigma):
+    """k lowest eigenpairs of a sparse Hermitian matrix, each with residual
+    |A v - lambda v| / |v| at most rtol * |A|_inf.
 
-    Dense solve up to ``DENSE_CUTOFF`` unknowns, ``lowest_pairs`` above.
+    Dense solve up to ``DENSE_CUTOFF`` unknowns; above that ``lowest_pairs``
+    from the shift ``sigma``.  The public eigensolvers both call this and
+    never each other, so that a traced eigensolve span does not nest.
+    """
+    if A.shape[0] <= DENSE_CUTOFF:
+        vals, vecs = scipy.linalg.eigh(A.toarray(), subset_by_index=(0, k - 1))
+    else:
+        vals, vecs = lowest_pairs(A, k, rtol=rtol, sigma=sigma)
+    target = rtol * max(1.0, spla.norm(A, np.inf))
+    res = np.linalg.norm(A @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
+    bad = np.flatnonzero(res > target)
+    if bad.size:
+        i = bad[0]
+        raise SolverError(
+            f"eigenpair {i} residual {res[i]:.3e} exceeds {rtol:.0e} * |A| = {target:.3e}"
+        )
+    return vals, vecs
+
+
+def min_eigenvalue_of(A, rtol=1e-6, sigma=None):
+    """Smallest eigenvalue of a sparse Hermitian matrix of either sign,
+    residual-checked at rtol.
+
     ``sigma`` (optional) is a known strict lower bound on the spectrum; a
     good one speeds convergence enormously when the Gershgorin bound is far
     below (weights like D^{-2} make it -1/delta^2).
     """
-    if A.shape[0] <= DENSE_CUTOFF:
-        vals = scipy.linalg.eigh(np.asarray(A.todense()), eigvals_only=True,
-                                 subset_by_index=(0, 0))
-        return float(vals[0])
-    vals, _ = lowest_pairs(A, 1, rtol=rtol, sigma=sigma)
+    vals, _ = _eigensolve(A, 1, rtol, sigma)
     return float(vals[0])
 
 

@@ -314,6 +314,29 @@ def test_reproduce_thresholds_file_rejected(tmp_path, capsys, content, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("arg", ["[1]", "  [1, 2]"])
+def test_reproduce_inline_thresholds_not_an_object(capsys, arg):
+    assert main(["reproduce", "--thresholds", arg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: thresholds must be a JSON object\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("lo,hi", [(1.2, 1.0), (1.0, 1.0)])
+def test_reproduce_reversed_landau_window_exits_before_any_check(monkeypatch, capsys, lo, hi):
+    from confinement_lab import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "REPRODUCE", {
+        name: check._replace(run=lambda t, name=name: ran.append(name))
+        for name, check in cli.REPRODUCE.items()})
+    override = json.dumps({"landau-window": {"lo": lo, "hi": hi}})
+    assert main(["reproduce", "--thresholds", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: 'window' must be [lo, hi] with lo < hi\n"
+    assert captured.out == "" and ran == []
+
+
 def test_reproduce_default_thresholds():
     from confinement_lab import cli
 

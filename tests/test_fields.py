@@ -70,9 +70,6 @@ class TestPolynomial:
         assert p.gradient(X).shape == (5, 4, 2)
         assert np.allclose(p.value(X), 2.0 * X[..., 1] ** 3)
 
-    def test_degree(self):
-        assert Polynomial(terms=[(1.0, (2, 1)), (5.0, (0, 1))]).degree == 3
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             Polynomial(terms=[])

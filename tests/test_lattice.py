@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
@@ -448,6 +449,18 @@ def test_indefinite_engine_matches_dense(monkeypatch):
     got = min_eigenvalue_of(A, rtol=1e-8)
     assert got == pytest.approx(exact, abs=1e-6)
     assert gershgorin_lower_bound(A) <= exact
+
+
+def test_both_eigensolvers_residual_check_the_dense_path(monkeypatch):
+    op = assemble(ConstantField(plane_two_form(1.0)), unit_square(), 0.25)
+    n = op.n_sites
+    # A pair that is no eigenpair: (0, e_1) leaves the residual |H e_1|.
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        lambda M, **kw: (np.zeros(1), np.eye(n, 1, dtype=complex)))
+    with pytest.raises(SolverError, match="exceeds 1e-08"):
+        op.lowest_eigenvalues(k=1)
+    with pytest.raises(SolverError, match="exceeds 1e-06"):
+        min_eigenvalue_of(op.matrix.tocsc(), rtol=1e-6)
 
 
 def test_matrix_market_round_trip(tmp_path):
