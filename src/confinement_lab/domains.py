@@ -7,13 +7,13 @@ polytopes cut out by affine functionals, and punctured Euclidean space (the
 boundary is the deleted point).
 """
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DomainError, RangeError, ValidationError
 from .exterior import TwoForm
@@ -353,6 +353,17 @@ class Polytope(Domain):
 
     The boundary distance is min_i |L_i(x)|, exact because the functionals are
     unit-normalized and the region is convex.
+
+    The Chebyshev ball and the bounding box are computed in closed form by
+    ``_vertices``, with no LP solver.  The center and inradius are the vertex
+    (x, r) of largest r of { N x + off + r <= 0, |x_i| <= 1e6, 0 <= r <= 1e6 },
+    and the bounding box spans the vertices of { N x + off <= 0, |x_i| <= 1e6 }
+    (a bounded LP attains its optimum at a vertex).  The 1e6 rows keep both
+    sets bounded, so an unbounded polytope shows as r >= 1e5.  Enumerating
+    the vertices of k constraint rows in n unknowns costs C(k, n) n-by-n
+    solves: with f facets in d dimensions, C(f + 2d + 2, d + 1) for the ball
+    (120 for a square, 1,001 for a cube) and C(f + 2d, d) for the box, so
+    the method suits polytopes with a handful of facets.
     """
 
     kind = "polytope"
@@ -369,22 +380,22 @@ class Polytope(Domain):
         self._N = np.array([f.normal for f in self.functionals])
         self._off = np.array([f.offset for f in self.functionals])
         self._chebyshev = self._solve_chebyshev()
-        if self._chebyshev[1] <= 0:
-            raise ValidationError("polytope has empty interior")
 
     def _solve_chebyshev(self):
-        # max r s.t. N x + off + r <= 0, plus a box on x to keep the LP bounded.
+        # max r s.t. N x + off + r <= 0, plus a box on x and r to keep the set bounded.
         k, d = self._N.shape
-        c = np.zeros(d + 1)
-        c[-1] = -1.0
-        A_ub = np.hstack([self._N, np.ones((k, 1))])
-        b_ub = -self._off
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(-1e6, 1e6)] * d + [(0, 1e6)], method="highs")
-        if not res.success:
-            raise ValidationError(f"polytope interior solve failed: {res.message}")
-        if res.x[-1] >= 1e5:
+        eye = np.eye(d + 1)
+        A = np.vstack([np.hstack([self._N, np.ones((k, 1))]), eye[:d], -eye[:d], eye[d], -eye[d]])
+        b = np.concatenate([-self._off, np.full(2 * d + 1, 1e6), [0.0]])
+        z = _vertices(A, b)
+        # No vertex: the set is empty.  A flat polytope's r is the rounding of
+        # the vertex solves, about eps |off|.
+        if len(z) == 0 or np.max(z[:, -1]) <= 1e-12 * (1.0 + np.max(np.abs(self._off))):
+            raise ValidationError("polytope has empty interior")
+        z = z[np.argmax(z[:, -1])]
+        if z[-1] >= 1e5:
             raise ValidationError("polytope appears unbounded")
-        return res.x[:-1].copy(), float(res.x[-1])
+        return z[:-1].copy(), float(z[-1])
 
     def values(self, x):
         return np.asarray(x, dtype=float) @ self._N.T + self._off
@@ -407,17 +418,12 @@ class Polytope(Domain):
 
     @cached_property
     def _box(self):
-        # Bound each coordinate by two LPs, once: rejection sampling asks on every draw.
+        # Enumerated once: rejection sampling asks on every draw.
         d = self.dim
-        lo, hi = np.empty(d), np.empty(d)
-        for i in range(d):
-            c = np.zeros(d)
-            c[i] = 1.0
-            r = linprog(c, A_ub=self._N, b_ub=-self._off, bounds=[(-1e6, 1e6)] * d, method="highs")
-            lo[i] = r.x[i]
-            r = linprog(-c, A_ub=self._N, b_ub=-self._off, bounds=[(-1e6, 1e6)] * d, method="highs")
-            hi[i] = r.x[i]
-        return lo, hi
+        eye = np.eye(d)
+        z = _vertices(np.vstack([self._N, eye, -eye]),
+                      np.concatenate([-self._off, np.full(2 * d, 1e6)]))
+        return z.min(axis=0), z.max(axis=0)
 
     def _facet_anchor(self, i, x):
         # Project x onto facet i's hyperplane; valid if it stays in the closure.
@@ -461,6 +467,27 @@ class Polytope(Domain):
             if y is not None:
                 try_add(y, i)
         return np.array(anchors), np.array(inwards)
+
+
+def _vertices(A, b):
+    """Vertices of { z : A z <= b }, one row per regular active set.
+
+    For every choice of n = A.shape[1] rows whose square system is regular
+    (|det| > 1e-12), solve it and keep the solution if it satisfies every
+    row to 1e-10 of |b| + |A| |z|.  A vertex where more than n rows meet
+    appears once per regular choice.  Cost: C(len(A), n) n-by-n solves,
+    taken 16,384 at a time so that memory stays bounded.
+    """
+    n = A.shape[1]
+    choices = itertools.combinations(range(len(A)), n)
+    found = []
+    while len(rows := np.array(list(itertools.islice(choices, 16384)), dtype=int).reshape(-1, n)):
+        M, rhs = A[rows], b[rows]
+        regular = np.abs(np.linalg.det(M)) > 1e-12
+        z = np.linalg.solve(M[regular], rhs[regular][..., None])[..., 0]
+        slack = 1e-10 * (np.abs(b) + np.abs(z) @ np.abs(A).T)
+        found.append(z[np.all(z @ A.T - b <= slack, axis=1)])
+    return np.concatenate(found)
 
 
 class PuncturedSpace(Domain):

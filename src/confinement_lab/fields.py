@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import exterior
 from .domains import (Ball3D, Disk2D, JsonKind, Polytope, PuncturedSpace, SolidTorus3D, _decode,
@@ -31,6 +30,15 @@ from .exterior import TwoForm, axial_matrices
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 _DENOM_TINY = 1e-14
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported at the first call: only the
+    boundary-zero refinement needs scipy.optimize, and its import takes
+    longer than most scans."""
+    import scipy.optimize
+
+    return scipy.optimize.minimize(*args, **kwargs)
 
 
 @dataclass

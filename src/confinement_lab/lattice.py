@@ -26,7 +26,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -163,6 +162,8 @@ class LatticeOperator:
         return _eigensolve(self.matrix, k, RESIDUAL_RTOL, 0.0)
 
     def to_matrix_market(self, path):
+        import scipy.io
+
         scipy.io.mmwrite(str(path), self.matrix.tocoo())
 
 
@@ -326,11 +327,15 @@ def _eigensolve(A, k, rtol, sigma):
     |A v - lambda v| / |v| at most rtol * |A|_inf.
 
     Dense solve up to ``DENSE_CUTOFF`` unknowns; above that ``lowest_pairs``
-    from the shift ``sigma``.  The public eigensolvers both call this and
-    never each other, so that a traced eigensolve span does not nest.
+    from the shift ``sigma``.  Both run with the OpenBLAS pools at one
+    thread, so the eigenpairs do not depend on the host's pool size (a
+    2-thread dense solve at n = 401 also stalled for 0.9 s now and then).
+    The public eigensolvers both call this and never each other, so that a
+    traced eigensolve span does not nest.
     """
     if A.shape[0] <= DENSE_CUTOFF:
-        vals, vecs = scipy.linalg.eigh(A.toarray(), subset_by_index=(0, k - 1))
+        with blas_threads(1):
+            vals, vecs = scipy.linalg.eigh(A.toarray(), subset_by_index=(0, k - 1))
     else:
         vals, vecs = lowest_pairs(A, k, rtol=rtol, sigma=sigma)
     target = rtol * max(1.0, spla.norm(A, np.inf))

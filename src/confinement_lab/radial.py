@@ -29,7 +29,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import RangeError, SingularityError, ValidationError
 from .spherical import ground_level
@@ -280,6 +279,9 @@ def _fundamental_magnitudes(coefficients, t0, t_eval, drift, start=0):
     failed.  A failed batch is split in halves down to single members, so only
     the failing members are lost.  A coefficient that is not finite raises
     SingularityError: the step-size control would never leave it."""
+    # Imported here: scipy.integrate loads scipy.optimize, which no other
+    # radial function needs.
+    from scipy.integrate import solve_ivp
 
     def rhs(t, y):
         gv = [g(t) for g in coefficients]

@@ -198,9 +198,10 @@ def test_lemma_slack_calibrates_K_when_omitted(tmp_path, monkeypatch):
     rc, outdir = run(tmp_path, spec)
     assert rc == 0
     payload = json.loads((outdir / "slack.report.json").read_text())["payload"]
-    assert payload["K"] == 0.08844315299589733
+    # The dense eigensolves run at one BLAS thread: these bits hold at any pool size.
+    assert payload["K"] == 0.08844315299589751
     assert payload["calibration"] == {
-        "h": 0.4, "rates": {"1": 0.02279251762124664, "3": 0.04422157649794867}}
+        "h": 0.4, "rates": {"1": 0.022792517621246414, "3": 0.04422157649794876}}
     # The polytope-slack check of ``reproduce`` passes this K, rounded to 8 digits.
     from confinement_lab import cli
 
@@ -566,6 +567,35 @@ def test_cli_import_stays_stdlib_only():
                          text=True, check=True).stdout
     assert out.strip() == "[]"
 
+
+TORUS = {"kind": "solid_torus3d", "major_radius": 2.0, "minor_radius": 1.0}
+
+
+@pytest.mark.parametrize("spec, absent", [
+    ({"schema": 1, "task": "scan-criterion", "params": {"anchors": 16},
+      "field": {"kind": "toroidal", "alpha": 2.0, "domain": TORUS}},
+     ["scipy.integrate", "scipy.io", "scipy.optimize"]),
+    ({"schema": 1, "task": "hur-probe", "params": {"deltas": [0.2]},
+      "field": {"kind": "disk_counterexample", "alpha": 0.5}, "domain": DISK},
+     ["scipy.optimize"]),
+], ids=["torus-scan", "disk-probe"])
+def test_run_leaves_unused_scipy_subpackages_unloaded(tmp_path, spec, absent):
+    import subprocess
+    import sys
+
+    import confinement_lab
+
+    src = os.path.dirname(os.path.dirname(confinement_lab.__file__))
+    code = ("import sys; "
+            "from confinement_lab import (cli, criterion, domains, exterior, fields, lattice, "
+            "radial, spherical); "
+            "assert cli.main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+            f"print(sorted(set({absent!r}) & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, write_spec(tmp_path, spec),
+                          str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.splitlines()[-1] == "[]"
 
 def test_reproduce_timers_start_after_module_import():
     import subprocess

@@ -178,15 +178,82 @@ def test_polytope_scan_solves_its_bounding_box_once(monkeypatch):
     sq = rotated_unit_square()
     lo, hi = sq.bounding_box()
     calls = []
-    solve = domains.linprog
-    monkeypatch.setattr(domains, "linprog", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    enumerate_vertices = domains._vertices
+    monkeypatch.setattr(domains, "_vertices",
+                        lambda *a: calls.append(1) or enumerate_vertices(*a))
     sq = rotated_unit_square()
     rays = sq.near_boundary_rays(64, [0.05, 0.1], rng=np.random.default_rng(13))
     assert len(rays) == 64
-    # one Chebyshev solve at construction, then two LPs per coordinate
-    assert len(calls) == 1 + 2 * sq.dim
+    # one enumeration for the Chebyshev ball at construction, one for the box
+    assert len(calls) == 2
+    sq.sample_interior(500, np.random.default_rng(0))
+    assert len(calls) == 2
     assert all(np.array_equal(a, b) for a, b in zip(sq.bounding_box(), (lo, hi)))
 
+
+
+def _linprog_geometry(functionals):
+    """Chebyshev ball and bounding box of ``{x : L_i(x) < 0}`` from HiGHS, with
+    the same 1e6 box rows; the ValidationError message where it fails."""
+    from scipy.optimize import linprog
+
+    N = np.array([f.normal for f in functionals])
+    off = np.array([f.offset for f in functionals])
+    k, d = N.shape
+    c = np.zeros(d + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=np.hstack([N, np.ones((k, 1))]), b_ub=-off,
+                  bounds=[(-1e6, 1e6)] * d + [(0, 1e6)], method="highs")
+    if res.status == 2 or res.x[-1] <= 0:  # infeasible, or feasible with no interior
+        return "polytope has empty interior"
+    if res.x[-1] >= 1e5:
+        return "polytope appears unbounded"
+    box = [[linprog(sign * np.eye(d)[i], A_ub=N, b_ub=-off, bounds=[(-1e6, 1e6)] * d,
+                    method="highs").x[i] for i in range(d)] for sign in (1.0, -1.0)]
+    return res.x[-1], np.array(box[0]), np.array(box[1])
+
+
+def _random_polytope(rng, d):
+    """Bounded: 2d facets along the axes of a random rotation, plus random
+    facets tangent to spheres about the origin."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    normals = np.vstack([q, -q, rng.normal(size=(int(rng.integers(0, 6)), d))])
+    offsets = -rng.uniform(0.3, 2.0, size=len(normals)) * np.linalg.norm(normals, axis=1)
+    return [AffineFunctional(normal=n, offset=o) for n, o in zip(normals, offsets)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", range(12))
+def test_closed_form_geometry_matches_linprog(d, seed):
+    fns = _random_polytope(np.random.default_rng(seed), d)
+    poly = Polytope(fns)
+    r, lo, hi = _linprog_geometry(fns)
+    assert abs(poly.inradius() - r) <= 1e-12
+    got_lo, got_hi = poly.bounding_box()
+    assert np.max(np.abs(got_lo - lo)) <= 1e-12
+    assert np.max(np.abs(got_hi - hi)) <= 1e-12
+    center = poly.chebyshev_center()
+    assert poly.contains(center)
+    assert abs(poly.distance(center) - poly.inradius()) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closed_form_rejects_what_linprog_rejects(seed):
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 2
+    fns = _random_polytope(rng, d)
+    n = fns[0].normal
+    # Facets 0 and d (opposite) replaced by the slab 0.5 - w < n . x < 0.5, of width w.
+    slab = lambda w: fns[1:d] + fns[d + 1:] + [AffineFunctional(n, -0.5),
+                                                AffineFunctional(-n, 0.5 - w)]
+    cone = [AffineFunctional(normal=np.abs(rng.normal(size=d)) + 0.1, offset=-1.0)
+            for _ in range(d + 2)]
+    for fs in (slab(0.0), slab(-0.25), cone):
+        expected = _linprog_geometry(fs)
+        assert isinstance(expected, str)
+        with pytest.raises(ValidationError) as err:
+            Polytope(fs)
+        assert str(err.value) == expected
 
 class TestJson:
     @pytest.mark.parametrize("dom", ALL_DOMAINS, ids=lambda d: type(d).__name__)

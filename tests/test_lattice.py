@@ -322,6 +322,25 @@ def test_lowest_pairs_runs_on_one_blas_thread(pools_at_two, monkeypatch):
     assert vals[0] == pytest.approx(LANDAU_SIDE10, abs=5e-6)
 
 
+def test_dense_eigenpairs_independent_of_blas_pool_size(pools_at_two, monkeypatch):
+    seen = []
+    eigh = scipy.linalg.eigh
+
+    def spy(*args, **kwargs):
+        seen.append(pools_at_two())
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    op = assemble(ConstantField(plane_two_form(1.0)), axis_box([-3.0, -3.0], [3.0, 3.0]), 0.25)
+    assert op.n_sites <= lattice.DENSE_CUTOFF
+    at_two = op.lowest_eigenvalues(k=2)
+    for _, put in lattice._blas_pools():
+        put(1)
+    at_one = op.lowest_eigenvalues(k=2)
+    assert len(seen) == 2 and all(set(sizes) == {1} for sizes in seen)
+    # Bit for bit: a 2-thread eigh moves these eigenvalues by about 3e-14.
+    assert all(np.array_equal(a, b) for a, b in zip(at_two, at_one))
+
 def test_blas_threads_caps_and_restores(pools_at_two):
     with lattice.blas_threads(1):
         assert set(pools_at_two()) == {1}
