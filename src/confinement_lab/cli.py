@@ -14,7 +14,6 @@ answers without numpy or scipy.
 """
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -780,17 +779,6 @@ def _reproduce(thresholds_arg):
 # entry point
 
 
-def _thread_cap(n):
-    """Context capping the bundled OpenBLAS pools at n threads (None: no cap)."""
-    if n is None:
-        return contextlib.nullcontext()
-    if n < 1:
-        raise SpecError("'--threads' must be a positive integer")
-    from .lattice import blas_threads
-
-    return blas_threads(n)
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="confinement-lab",
@@ -803,8 +791,6 @@ def _build_parser():
     run_p.add_argument("--out", default=".", help="output directory")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the spec seed")
-    run_p.add_argument("--threads", type=int, default=None,
-                       help="cap the numpy and scipy OpenBLAS thread pools")
     run_p.add_argument("--dump-matrix", action="store_true",
                        help="also write the assembled operator (Matrix Market)")
 
@@ -815,20 +801,17 @@ def _build_parser():
                            help="run the bundled examples, print pass/fail lines")
     rep_p.add_argument("--thresholds", default=None,
                        help="JSON object or file overriding check thresholds")
-    rep_p.add_argument("--threads", type=int, default=None,
-                       help="cap the numpy and scipy OpenBLAS thread pools")
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        with _thread_cap(getattr(args, "threads", None)):
-            if args.command == "run":
-                return _run_spec(args.spec, args.out, args.seed, args.dump_matrix)
-            if args.command == "validate":
-                return _validate_spec(args.spec)
-            return _reproduce(args.thresholds)
+        if args.command == "run":
+            return _run_spec(args.spec, args.out, args.seed, args.dump_matrix)
+        if args.command == "validate":
+            return _validate_spec(args.spec)
+        return _reproduce(args.thresholds)
     except SpecError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -154,16 +154,12 @@ def _liminf_estimate(margins):
 def _decide(kind, dim, liminf, regular, eta0, warnings):
     basis = []
     if liminf >= 1.0 + eta0:
-        if kind == "singular_point":
-            if regular:
-                basis.append("isolated-singularity margin bound with stable direction")
-                return CONFINING_SINGULAR_POINT, basis
-            warnings.append("margin clears the threshold but the direction oscillates")
-            basis.append("margin sufficient, direction condition failed")
-            return INCONCLUSIVE_GAP, basis
-        if dim == 2:
+        if kind != "singular_point" and dim == 2:
             basis.append("planar margin bound (no direction condition in dimension 2)")
             return CONFINING_D2_PLANAR, basis
+        if regular and kind == "singular_point":
+            basis.append("isolated-singularity margin bound with stable direction")
+            return CONFINING_SINGULAR_POINT, basis
         if regular:
             basis.append("weighted margin bound with asymptotically constant direction")
             return CONFINING_D2, basis

@@ -11,7 +11,6 @@ import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -359,11 +358,13 @@ class Polytope(Domain):
     (x, r) of largest r of { N x + off + r <= 0, |x_i| <= 1e6, 0 <= r <= 1e6 },
     and the bounding box spans the vertices of { N x + off <= 0, |x_i| <= 1e6 }
     (a bounded LP attains its optimum at a vertex).  The 1e6 rows keep both
-    sets bounded, so an unbounded polytope shows as r >= 1e5.  Enumerating
-    the vertices of k constraint rows in n unknowns costs C(k, n) n-by-n
-    solves: with f facets in d dimensions, C(f + 2d + 2, d + 1) for the ball
-    (120 for a square, 1,001 for a cube) and C(f + 2d, d) for the box, so
-    the method suits polytopes with a handful of facets.
+    sets bounded, so an unbounded polytope shows as r >= 1e5 or, when it is
+    thin across its unbounded direction, as a box coordinate of magnitude
+    1e5 or more.  Enumerating the vertices of k constraint rows in n unknowns
+    costs C(k, n) n-by-n solves: with f facets in d dimensions,
+    C(f + 2d + 2, d + 1) for the ball (120 for a square, 1,001 for a cube)
+    and C(f + 2d, d) for the box, so the method suits polytopes with a
+    handful of facets.
     """
 
     kind = "polytope"
@@ -380,6 +381,12 @@ class Polytope(Domain):
         self._N = np.array([f.normal for f in self.functionals])
         self._off = np.array([f.offset for f in self.functionals])
         self._chebyshev = self._solve_chebyshev()
+        eye = np.eye(self.dim)
+        z = _vertices(np.vstack([self._N, eye, -eye]),
+                      np.concatenate([-self._off, np.full(2 * self.dim, 1e6)]))
+        self._box = z.min(axis=0), z.max(axis=0)
+        if np.max(np.abs(z)) >= 1e5:
+            raise ValidationError("polytope appears unbounded")
 
     def _solve_chebyshev(self):
         # max r s.t. N x + off + r <= 0, plus a box on x and r to keep the set bounded.
@@ -415,15 +422,6 @@ class Polytope(Domain):
     def bounding_box(self):
         lo, hi = self._box
         return lo.copy(), hi.copy()
-
-    @cached_property
-    def _box(self):
-        # Enumerated once: rejection sampling asks on every draw.
-        d = self.dim
-        eye = np.eye(d)
-        z = _vertices(np.vstack([self._N, eye, -eye]),
-                      np.concatenate([-self._off, np.full(2 * d, 1e6)]))
-        return z.min(axis=0), z.max(axis=0)
 
     def _facet_anchor(self, i, x):
         # Project x onto facet i's hyperplane; valid if it stays in the closure.

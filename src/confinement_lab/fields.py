@@ -502,9 +502,6 @@ class GaugeShiftField(MagneticField):
         # Bit-identical to the base field: the gauge term never enters.
         return self.base.field_matrix_batch(x, domain=domain)
 
-    def _closed_field(self, x):
-        return self.base._closed_field(x)
-
 
 def field_from_json(obj) -> MagneticField:
     """Rebuild a catalog field from its JSON dict (unknown kinds/keys rejected)."""

@@ -207,23 +207,22 @@ def _blas_pools():
 
 
 @contextlib.contextmanager
-def blas_threads(n):
-    """Cap every bundled OpenBLAS pool at n threads; restore the sizes after.
+def one_blas_thread():
+    """Run every bundled OpenBLAS pool at one thread; restore the sizes after.
 
     The pools are looked up at the first use, not at import.
     """
     pools = _blas_pools()
     saved = [get() for get, _ in pools]
     try:
-        for (_, put), size in zip(pools, saved):
-            put(min(n, size))
+        for _, put in pools:
+            put(1)
         yield
     finally:
         for (_, put), size in zip(pools, saved):
             put(size)
 
 
-@blas_threads(1)
 def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
     """k lowest eigenpairs of a sparse Hermitian matrix, possibly indefinite.
 
@@ -244,14 +243,6 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
     of eigenvalues below the shift (Sylvester's law of inertia), so an
     advance is kept only when that count is zero; otherwise the current
     factorization stays and the shift stops advancing.
-
-    The whole call runs with the numpy and scipy OpenBLAS pools at one
-    thread.  Each step alternates between the two libraries (QR and matmul
-    in numpy's, the SuperLU solve and eigh in scipy's).  On a block at most
-    128 columns wide no part of a step gains from a second thread, while two
-    2-thread pools contending for 2 cores take 8 to 23 ms per step against
-    6 ms at one thread (n = 4452, block 6).  One thread also makes the
-    iterates, and so the spectra, independent of the host's pool size.
 
     ``sigma`` must not exceed the smallest eigenvalue; None uses the
     Gershgorin bound.  Residuals are measured against rtol * |A|_inf.  The
@@ -327,19 +318,26 @@ def _eigensolve(A, k, rtol, sigma):
     |A v - lambda v| / |v| at most rtol * |A|_inf.
 
     Dense solve up to ``DENSE_CUTOFF`` unknowns; above that ``lowest_pairs``
-    from the shift ``sigma``.  Both run with the OpenBLAS pools at one
-    thread, so the eigenpairs do not depend on the host's pool size (a
-    2-thread dense solve at n = 401 also stalled for 0.9 s now and then).
-    The public eigensolvers both call this and never each other, so that a
-    traced eigensolve span does not nest.
+    from the shift ``sigma``.  The public eigensolvers both call this and
+    never each other, so that a traced eigensolve span does not nest.
+
+    This is the one place that sets the BLAS thread policy: the solve and
+    its residual check run with the numpy and scipy OpenBLAS pools at one
+    thread, so the eigenpairs do not depend on the host's pool size.  A
+    ``lowest_pairs`` step alternates between the two libraries (QR and
+    matmul in numpy's, the SuperLU solve and eigh in scipy's); on a block at
+    most 128 columns wide no part of it gains from a second thread, while
+    two 2-thread pools contending for 2 cores take 8 to 23 ms per step
+    against 6 ms at one thread (n = 4452, block 6).  A 2-thread dense solve
+    at n = 401 also stalled for 0.9 s now and then.
     """
-    if A.shape[0] <= DENSE_CUTOFF:
-        with blas_threads(1):
+    with one_blas_thread():
+        if A.shape[0] <= DENSE_CUTOFF:
             vals, vecs = scipy.linalg.eigh(A.toarray(), subset_by_index=(0, k - 1))
-    else:
-        vals, vecs = lowest_pairs(A, k, rtol=rtol, sigma=sigma)
-    target = rtol * max(1.0, spla.norm(A, np.inf))
-    res = np.linalg.norm(A @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
+        else:
+            vals, vecs = lowest_pairs(A, k, rtol=rtol, sigma=sigma)
+        target = rtol * max(1.0, spla.norm(A, np.inf))
+        res = np.linalg.norm(A @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
     bad = np.flatnonzero(res > target)
     if bad.size:
         i = bad[0]

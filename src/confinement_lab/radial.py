@@ -276,9 +276,10 @@ def _fundamental_magnitudes(coefficients, t0, t_eval, drift, start=0):
     integrated together as the stacked fundamental system [w1, w1', w2, w2'] x n
     (one call of each g_k per stage).  Returns one entry per coefficient: its
     (2, len(t_eval)) magnitudes, or the solver's message when its integration
-    failed.  A failed batch is split in halves down to single members, so only
-    the failing members are lost.  A coefficient that is not finite raises
-    SingularityError: the step-size control would never leave it."""
+    failed.  When a batch fails, each member is solved again alone, so only the
+    failing members are lost, at one more failed integration each.  A
+    coefficient that is not finite raises SingularityError: the step-size
+    control would never leave it."""
     # Imported here: scipy.integrate loads scipy.optimize, which no other
     # radial function needs.
     from scipy.integrate import solve_ivp
@@ -305,9 +306,8 @@ def _fundamental_magnitudes(coefficients, t0, t_eval, drift, start=0):
         return list(np.maximum(np.abs(sol.y[0::2]), 1e-300).reshape(n, 2, -1))
     if n == 1:
         return [sol.message]
-    half = n // 2
-    return (_fundamental_magnitudes(coefficients[:half], t0, t_eval, drift, start)
-            + _fundamental_magnitudes(coefficients[half:], t0, t_eval, drift, start + half))
+    return [m for k, g in enumerate(coefficients)
+            for m in _fundamental_magnitudes([g], t0, t_eval, drift, start + k)]
 
 
 def _from_exponents(endpoint, slopes, resids, windows):

@@ -538,21 +538,6 @@ def test_negative_seed_flag_rejected(tmp_path, capsys):
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "reproduce"])
-@pytest.mark.parametrize("threads", ["0", "-4"])
-def test_nonpositive_threads_rejected(tmp_path, capsys, command, threads):
-    spec = {"schema": 1, "task": "spherical-table", "params": {"m": 1, "k_max": 5}}
-    outdir = tmp_path / "out"
-    argv = [command]
-    if command == "run":
-        argv += [write_spec(tmp_path, spec), "--out", str(outdir)]
-    assert main([*argv, "--threads", threads]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: '--threads' must be a positive integer\n"
-    assert captured.out == ""
-    assert not outdir.exists()
-
-
 def test_cli_import_stays_stdlib_only():
     import subprocess
     import sys
@@ -566,6 +551,23 @@ def test_cli_import_stays_stdlib_only():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_usage_lists_exactly_the_parser_flags():
+    import argparse
+    from pathlib import Path
+
+    from confinement_lab.cli import _build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1]: set(re.findall(r"--[\w-]+", line))
+                  for line in usage.splitlines()}
+    commands = next(action for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    defined = {name: {flag for action in sub._actions for flag in action.option_strings}
+               - {"-h", "--help"} for name, sub in commands.items()}
+    assert documented == defined
 
 
 TORUS = {"kind": "solid_torus3d", "major_radius": 2.0, "minor_radius": 1.0}
@@ -612,27 +614,6 @@ def test_reproduce_timers_start_after_module_import():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[0].startswith("PASS  probe: True (")
-
-
-def test_threads_flag_leaves_environment_and_pools_as_found(tmp_path, monkeypatch,
-                                                            pools_at_two):
-    import confinement_lab.cli as cli
-
-    seen = []
-    run_spec = cli._run_spec
-
-    def spy(*args):
-        seen.append(pools_at_two())
-        return run_spec(*args)
-
-    monkeypatch.setattr(cli, "_run_spec", spy)
-    environ = dict(os.environ)
-    spec = {"schema": 1, "task": "spherical-table", "params": {"m": 1, "k_max": 5}}
-    rc, _ = run(tmp_path, spec, "--threads", "1")
-    assert rc == 0
-    assert set(seen[0]) == {1}
-    assert dict(os.environ) == environ
-    assert set(pools_at_two()) == {2}
 
 
 def test_sparse_path_csv_independent_of_blas_pool_size(tmp_path):

@@ -152,6 +152,14 @@ class TestPolytope:
                 AffineFunctional(normal=[0.0, 1.0], offset=-1.0),
             ])
 
+    def test_thin_unbounded_strip_rejected(self):
+        # The strip -1 < x < 0 has inradius 0.5 but no bound along y.
+        with pytest.raises(ValidationError, match="^polytope appears unbounded$"):
+            Polytope([
+                AffineFunctional(normal=[1.0, 0.0], offset=0.0),
+                AffineFunctional(normal=[-1.0, 0.0], offset=-1.0),
+            ])
+
     def test_triangle_from_vertices(self):
         tri = polygon_from_vertices([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
         assert tri.contains([0.5, 0.5])
@@ -184,7 +192,7 @@ def test_polytope_scan_solves_its_bounding_box_once(monkeypatch):
     sq = rotated_unit_square()
     rays = sq.near_boundary_rays(64, [0.05, 0.1], rng=np.random.default_rng(13))
     assert len(rays) == 64
-    # one enumeration for the Chebyshev ball at construction, one for the box
+    # two enumerations at construction, for the Chebyshev ball and the box
     assert len(calls) == 2
     sq.sample_interior(500, np.random.default_rng(0))
     assert len(calls) == 2

@@ -316,10 +316,11 @@ def test_lowest_pairs_runs_on_one_blas_thread(pools_at_two, monkeypatch):
     monkeypatch.setattr(lattice, "spla", SimpleNamespace(splu=splu, norm=spla.norm))
     op = assemble(ConstantField(plane_two_form(1.0)),
                   axis_box([-5.0, -5.0], [5.0, 5.0]), 0.25)
-    vals, _ = lowest_pairs(op.matrix, 2, rtol=1e-8, sigma=0.0)
+    assert op.n_sites > lattice.DENSE_CUTOFF
+    lam = min_eigenvalue_of(op.matrix, rtol=1e-8, sigma=0.0)
     assert seen and all(set(sizes) == {1} for sizes in seen)
     assert set(pools_at_two()) == {2}
-    assert vals[0] == pytest.approx(LANDAU_SIDE10, abs=5e-6)
+    assert lam == pytest.approx(LANDAU_SIDE10, abs=5e-6)
 
 
 def test_dense_eigenpairs_independent_of_blas_pool_size(pools_at_two, monkeypatch):
@@ -342,9 +343,9 @@ def test_dense_eigenpairs_independent_of_blas_pool_size(pools_at_two, monkeypatc
     assert all(np.array_equal(a, b) for a, b in zip(at_two, at_one))
 
 def test_blas_threads_caps_and_restores(pools_at_two):
-    with lattice.blas_threads(1):
+    with lattice.one_blas_thread():
         assert set(pools_at_two()) == {1}
-        with lattice.blas_threads(8):
+        with lattice.one_blas_thread():
             assert set(pools_at_two()) == {1}
         assert set(pools_at_two()) == {1}
     assert set(pools_at_two()) == {2}
@@ -352,7 +353,7 @@ def test_blas_threads_caps_and_restores(pools_at_two):
 
 def test_blas_threads_without_pools_does_nothing(pools_at_two, monkeypatch):
     monkeypatch.setattr(lattice, "_blas_pools", lambda: [])
-    with lattice.blas_threads(1):
+    with lattice.one_blas_thread():
         assert set(pools_at_two()) == {2}
     assert set(pools_at_two()) == {2}
 

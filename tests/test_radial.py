@@ -255,6 +255,24 @@ class TestSolving:
                                               "is less than spacing between numbers."}
         assert other == classify_by_solving([synthetic_problem(0.3)], 0.0)[0]
 
+    def test_failed_batch_fails_once_more_per_failing_member(self, monkeypatch):
+        import scipy.integrate
+
+        solve_ivp, failed = scipy.integrate.solve_ivp, []
+
+        def spy(fun, t_span, y0, **kwargs):
+            sol = solve_ivp(fun, t_span, y0, **kwargs)
+            if not sol.success:
+                failed.append(len(y0) // 4)
+            return sol
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", spy)
+        others = [synthetic_problem(c) for c in (0.3, 0.5, 2.0)]
+        got = classify_by_solving([others[0], pole_problem(), *others[1:]], 0.0)
+        assert failed == [4, 1]  # the batch, then the pole alone
+        assert got[1].kind == INCONCLUSIVE
+        assert [got[0], *got[2:]] == [classify_by_solving([p], 0.0)[0] for p in others]
+
     def test_non_finite_potential_raises(self):
         # A NaN error norm never lets the step-size control exit.
         nan = RadialProblem(q=lambda r: np.asarray(r, float) * np.nan, interval=(0.0, 1.0),
