@@ -20,7 +20,8 @@ import sys
 import time
 from collections import namedtuple
 
-SCHEMA_VERSION = 1
+SPEC_SCHEMA = 1    # the "schema" a spec must declare
+REPORT_SCHEMA = 2  # the "schema" written to report.json
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
@@ -197,10 +198,10 @@ def _r_scan_criterion(ctx, seed):
         eta0=ctx["eta0"],
         seed=seed,
     )
-    names = report.samples.dtype.names
-    rows = list(zip(*(report.samples[name].tolist() for name in names)))
-    payload = dict(vars(report), samples=[dict(zip(names, row)) for row in rows])
-    return payload, (names, rows), list(report.warnings), None
+    payload = dict(vars(report))  # samples go to the CSV only, warnings to report["warnings"]
+    samples, warnings = payload.pop("samples"), payload.pop("warnings")
+    names = samples.dtype.names
+    return payload, (names, list(zip(*(samples[n].tolist() for n in names)))), warnings, None
 
 
 def _r_direction_scan(ctx, seed):
@@ -516,8 +517,8 @@ def _load_spec(path):
     unknown = set(spec) - TOP_LEVEL_KEYS
     if unknown:
         raise SpecError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
-    if spec.get("schema") != SCHEMA_VERSION:
-        raise SpecError(f"spec needs \"schema\": {SCHEMA_VERSION}")
+    if spec.get("schema") != SPEC_SCHEMA:
+        raise SpecError(f"spec needs \"schema\": {SPEC_SCHEMA}")
     task = spec.get("task")
     if task not in TASKS:
         raise SpecError(
@@ -551,11 +552,13 @@ def _run_spec(path, outdir, seed_flag, dump_matrix):
     started = time.perf_counter()
     payload, (header, rows), warnings, op = TASKS[spec["task"]].runner(ctx, seed)
     wall = time.perf_counter() - started
+    if dump_matrix and op is None:
+        warnings.append("--dump-matrix: this task assembles no matrix")
 
     from . import __version__
 
     report = {
-        "schema": SCHEMA_VERSION,
+        "schema": REPORT_SCHEMA,
         "version": __version__,
         "task": spec["task"],
         "spec": _spec_echo(spec, seed),
@@ -573,13 +576,10 @@ def _run_spec(path, outdir, seed_flag, dump_matrix):
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
     written = [json_path, csv_path]
-    if dump_matrix:
-        if op is None:
-            warnings.append("--dump-matrix: this task assembles no matrix")
-        else:
-            mtx_path = os.path.join(outdir, base + ".mtx")
-            op.to_matrix_market(mtx_path)
-            written.append(mtx_path)
+    if dump_matrix and op is not None:
+        mtx_path = os.path.join(outdir, base + ".mtx")
+        op.to_matrix_market(mtx_path)
+        written.append(mtx_path)
     for p in written:
         print(p)
     return EXIT_OK

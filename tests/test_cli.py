@@ -58,7 +58,7 @@ def test_run_spherical_table(tmp_path, capsys):
     assert str(outdir / "tbl.report.json") in out
 
     report = json.loads((outdir / "tbl.report.json").read_text())
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["task"] == "spherical-table"
     assert report["payload"]["ground"]["value"] == 0.5
     assert report["payload"]["counting_check"] is True
@@ -255,6 +255,33 @@ def test_dump_matrix(tmp_path):
     assert eigs[0] <= eigs[1]
 
 
+def test_dump_matrix_without_a_matrix_warns_in_the_report(tmp_path):
+    spec = {"schema": 1, "task": "spherical-table", "params": {"m": 1, "k_max": 5},
+            "output": "tbl"}
+    rc, outdir = run(tmp_path, spec, "--dump-matrix")
+    assert rc == 0
+    assert sorted(os.listdir(outdir)) == ["tbl.csv", "tbl.report.json"]
+    report = json.loads((outdir / "tbl.report.json").read_text())
+    assert report["warnings"] == ["--dump-matrix: this task assembles no matrix"]
+
+
+def test_scan_report_holds_the_summary_and_the_csv_the_samples(tmp_path):
+    spec = {"schema": 1, "task": "scan-criterion", "params": {"anchors": 16}, "output": "scan",
+            "field": {"kind": "nontoroidal", "domain": {"kind": "ball3d", "radius": 1.0}}}
+    rc, outdir = run(tmp_path, spec)
+    assert rc == 0
+    report_bytes = (outdir / "scan.report.json").read_bytes()
+    csv_lines = (outdir / "scan.csv").read_text().splitlines()
+    report = json.loads(report_bytes)
+    assert sorted(report["payload"]) == [
+        "direction_oscillation", "direction_regular", "eta_margin", "excluded", "kind",
+        "liminf_estimate", "params", "theorem_basis", "verdict"]
+    # The direction warning appears once, in the report's own list.
+    assert report["warnings"] == ["margin clears the threshold but the direction oscillates"]
+    assert len(csv_lines) == 1 + 16 * len(report["payload"]["params"]["depths"])
+    assert len(report_bytes) < len((outdir / "scan.csv").read_bytes())
+
+
 def test_reproduce_negative_control(capsys):
     rc = main(["reproduce", "--thresholds", '{"spherical-ground": {"value": 0.75}}'])
     assert rc == 1
@@ -370,7 +397,8 @@ def test_reproduce_integer_threshold_reads_as_float():
     assert lo == 1.0 and type(lo) is float
 
 
-def test_schema_version_enforced(tmp_path):
+def test_schema_version_enforced(tmp_path, capsys):
+    # A spec copying the report's schema number (2) is still rejected.
     spec = {
         "schema": 2,
         "task": "spherical-table",
@@ -379,6 +407,7 @@ def test_schema_version_enforced(tmp_path):
     }
     rc, _ = run(tmp_path, spec)
     assert rc == 2
+    assert capsys.readouterr().err == 'error: spec needs "schema": 1\n'
 
 
 def test_unknown_task(tmp_path):

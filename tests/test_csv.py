@@ -1,5 +1,7 @@
 """The CSV of every task: header, cells that parse back exactly to the
-payload's values, and bytes that depend only on the spec and its seed."""
+payload's values (for a margin scan, to the samples of ``scan_margin``, which
+the payload does not repeat), and bytes that depend only on the spec and its
+seed."""
 
 import json
 import tempfile
@@ -11,6 +13,9 @@ from hypothesis import strategies as st
 
 from confinement_lab import cli
 from confinement_lab.cli import main
+from confinement_lab.criterion import scan_margin
+from confinement_lab.domains import domain_from_json
+from confinement_lab.fields import field_from_json
 
 UNIT_FIELD = {"kind": "constant", "two_form": [[0.0, 1.0], [-1.0, 0.0]]}
 CTREX = {"kind": "disk_counterexample", "alpha": 0.5}
@@ -29,13 +34,22 @@ def _keyed(key, *names):
     return lambda p: [[r[n] for n in names] for r in p[key]]
 
 
+SCAN = dict(_lattice("scan-criterion", {"anchors": 4}, CTREX), seed=3)
+
+
+def _scan_samples(_payload):
+    """The samples of ``scan_margin`` on SCAN, one row per sample, read one
+    by one from the structured array."""
+    report = scan_margin(field_from_json(SCAN["field"]), domain_from_json(SCAN["domain"]),
+                         n_anchors=SCAN["params"]["anchors"], seed=SCAN["seed"])
+    return [[int(s["anchor"]), float(s["depth"]), float(s["distance"]), float(s["norm_sp"]),
+             float(s["margin"]), [float(v) for v in s["point"]]] for s in report.samples]
+
+
 # task -> (spec, CSV header, payload -> the rows the CSV must hold, or None
 # where the payload keeps no rows)
 TASKS = {
-    "scan-criterion": (
-        dict(_lattice("scan-criterion", {"anchors": 4}, CTREX), seed=3),
-        "anchor,depth,distance,norm_sp,margin,point",
-        _keyed("samples", "anchor", "depth", "distance", "norm_sp", "margin", "point")),
+    "scan-criterion": (SCAN, "anchor,depth,distance,norm_sp,margin,point", _scan_samples),
     "direction-scan": (
         dict(_lattice("direction-scan", {"anchors": 4}, CTREX), seed=3),
         "anchor,oscillation",
