@@ -21,7 +21,7 @@ import time
 from collections import namedtuple
 
 SPEC_SCHEMA = 1    # the "schema" a spec must declare
-REPORT_SCHEMA = 2  # the "schema" written to report.json
+REPORT_SCHEMA = 3  # the "schema" written to report.json
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
@@ -214,8 +214,8 @@ def _r_direction_scan(ctx, seed):
         depths=ctx["depths"],
         seed=seed,
     )
-    table = (["anchor", "oscillation"], list(enumerate(result["per_anchor"])))
-    return result, table, list(result.pop("warnings")), None
+    table = (["anchor", "oscillation"], list(enumerate(result.pop("per_anchor"))))
+    return result, table, result.pop("warnings"), None
 
 
 def _r_eig(ctx, seed):

@@ -39,7 +39,6 @@ from .errors import (
 )
 from .exterior import norm_sp_batch
 
-DENSE_CUTOFF = 1500
 RESIDUAL_RTOL = 1e-8
 GAUSS3_NODES = (0.5 - math.sqrt(3.0 / 5.0) / 2.0, 0.5, 0.5 + math.sqrt(3.0 / 5.0) / 2.0)
 GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
@@ -153,8 +152,8 @@ class LatticeOperator:
     def lowest_eigenvalues(self, k=1):
         """k smallest eigenpairs, residual-checked at ``RESIDUAL_RTOL``.
 
-        The sparse path starts from the zero shift: the assembled operator
-        is positive semidefinite, so that shift is always factorable.
+        The solve starts from the zero shift: the assembled operator is
+        positive semidefinite, so that shift is always factorable.
         """
         n = self.n_sites
         if k < 1 or k >= n:
@@ -247,9 +246,9 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
     ``sigma`` must not exceed the smallest eigenvalue; None uses the
     Gershgorin bound.  Residuals are measured against rtol * |A|_inf.  The
     start block and the columns added when it grows are drawn from one
-    generator seeded with 0.
+    generator seeded with 0.  A real A is solved as complex.
     """
-    A = A.tocsc()
+    A = A.tocsc().astype(complex, copy=False)
     n = A.shape[0]
     scale = max(1.0, spla.norm(A, np.inf))
     target = rtol * scale
@@ -269,7 +268,7 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
         raise SolverError(f"factorization failed near shift {shift:.6e}")
 
     lu, sigma = factor(sigma)
-    m_cap = min(n - 1, max(128, 4 * k))
+    m_cap = min(n, max(128, 4 * k))
     m = min(k + 2, m_cap)
     rng = np.random.default_rng(0)
     X = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
@@ -317,9 +316,9 @@ def _eigensolve(A, k, rtol, sigma):
     """k lowest eigenpairs of a sparse Hermitian matrix, each with residual
     |A v - lambda v| / |v| at most rtol * |A|_inf.
 
-    Dense solve up to ``DENSE_CUTOFF`` unknowns; above that ``lowest_pairs``
-    from the shift ``sigma``.  The public eigensolvers both call this and
-    never each other, so that a traced eigensolve span does not nest.
+    ``lowest_pairs`` from the shift ``sigma``, at every size.  The public
+    eigensolvers both call this and never each other, so that a traced
+    eigensolve span does not nest.
 
     This is the one place that sets the BLAS thread policy: the solve and
     its residual check run with the numpy and scipy OpenBLAS pools at one
@@ -328,14 +327,10 @@ def _eigensolve(A, k, rtol, sigma):
     matmul in numpy's, the SuperLU solve and eigh in scipy's); on a block at
     most 128 columns wide no part of it gains from a second thread, while
     two 2-thread pools contending for 2 cores take 8 to 23 ms per step
-    against 6 ms at one thread (n = 4452, block 6).  A 2-thread dense solve
-    at n = 401 also stalled for 0.9 s now and then.
+    against 6 ms at one thread (n = 4452, block 6).
     """
     with one_blas_thread():
-        if A.shape[0] <= DENSE_CUTOFF:
-            vals, vecs = scipy.linalg.eigh(A.toarray(), subset_by_index=(0, k - 1))
-        else:
-            vals, vecs = lowest_pairs(A, k, rtol=rtol, sigma=sigma)
+        vals, vecs = lowest_pairs(A, k, rtol=rtol, sigma=sigma)
         target = rtol * max(1.0, spla.norm(A, np.inf))
         res = np.linalg.norm(A @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
     bad = np.flatnonzero(res > target)

@@ -58,7 +58,7 @@ def test_run_spherical_table(tmp_path, capsys):
     assert str(outdir / "tbl.report.json") in out
 
     report = json.loads((outdir / "tbl.report.json").read_text())
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["task"] == "spherical-table"
     assert report["payload"]["ground"]["value"] == 0.5
     assert report["payload"]["counting_check"] is True
@@ -198,10 +198,10 @@ def test_lemma_slack_calibrates_K_when_omitted(tmp_path, monkeypatch):
     rc, outdir = run(tmp_path, spec)
     assert rc == 0
     payload = json.loads((outdir / "slack.report.json").read_text())["payload"]
-    # The dense eigensolves run at one BLAS thread: these bits hold at any pool size.
-    assert payload["K"] == 0.08844315299589751
+    # The eigensolves run at one BLAS thread: these bits hold at any pool size.
+    assert payload["K"] == 0.08844315298992472
     assert payload["calibration"] == {
-        "h": 0.4, "rates": {"1": 0.022792517621246414, "3": 0.04422157649794876}}
+        "h": 0.4, "rates": {"1": 0.022792517621245983, "3": 0.04422157649496236}}
     # The polytope-slack check of ``reproduce`` passes this K, rounded to 8 digits.
     from confinement_lab import cli
 
@@ -280,6 +280,19 @@ def test_scan_report_holds_the_summary_and_the_csv_the_samples(tmp_path):
     assert report["warnings"] == ["margin clears the threshold but the direction oscillates"]
     assert len(csv_lines) == 1 + 16 * len(report["payload"]["params"]["depths"])
     assert len(report_bytes) < len((outdir / "scan.csv").read_bytes())
+
+
+def test_direction_scan_report_holds_the_summary_and_the_csv_the_anchors(tmp_path):
+    spec = {"schema": 1, "task": "direction-scan", "params": {"anchors": 8}, "output": "dirs",
+            "field": {"kind": "disk_counterexample", "alpha": 0.5}, "domain": DISK}
+    rc, outdir = run(tmp_path, spec)
+    assert rc == 0
+    report = json.loads((outdir / "dirs.report.json").read_text())
+    assert sorted(report["payload"]) == ["excluded", "max_oscillation", "params", "regular"]
+    csv_lines = (outdir / "dirs.csv").read_text().splitlines()
+    assert csv_lines[0] == "anchor,oscillation" and len(csv_lines) == 1 + 8
+    assert max(float(line.split(",")[1]) for line in csv_lines[1:]) == report["payload"][
+        "max_oscillation"]
 
 
 def test_reproduce_negative_control(capsys):
@@ -398,9 +411,9 @@ def test_reproduce_integer_threshold_reads_as_float():
 
 
 def test_schema_version_enforced(tmp_path, capsys):
-    # A spec copying the report's schema number (2) is still rejected.
+    # A spec copying the report's schema number (3) is still rejected.
     spec = {
-        "schema": 2,
+        "schema": 3,
         "task": "spherical-table",
         "params": {"m": 1, "k_max": 5},
         "output": "tbl",

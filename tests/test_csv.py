@@ -1,6 +1,7 @@
 """The CSV of every task: header, cells that parse back exactly to the
-payload's values (for a margin scan, to the samples of ``scan_margin``, which
-the payload does not repeat), and bytes that depend only on the spec and its
+payload's values (for a margin scan, to the samples of ``scan_margin``, and
+for a direction scan, to the per-anchor table of ``scan_directions``, which
+the payloads do not repeat), and bytes that depend only on the spec and its
 seed."""
 
 import json
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from confinement_lab import cli
 from confinement_lab.cli import main
-from confinement_lab.criterion import scan_margin
+from confinement_lab.criterion import scan_directions, scan_margin
 from confinement_lab.domains import domain_from_json
 from confinement_lab.fields import field_from_json
 
@@ -35,6 +36,7 @@ def _keyed(key, *names):
 
 
 SCAN = dict(_lattice("scan-criterion", {"anchors": 4}, CTREX), seed=3)
+DIRECTIONS = dict(_lattice("direction-scan", {"anchors": 4}, CTREX), seed=3)
 
 
 def _scan_samples(_payload):
@@ -46,14 +48,19 @@ def _scan_samples(_payload):
              float(s["margin"]), [float(v) for v in s["point"]]] for s in report.samples]
 
 
+def _direction_rows(_payload):
+    """The per-anchor oscillations of ``scan_directions`` on DIRECTIONS."""
+    result = scan_directions(field_from_json(DIRECTIONS["field"]),
+                             domain_from_json(DIRECTIONS["domain"]),
+                             n_anchors=DIRECTIONS["params"]["anchors"], seed=DIRECTIONS["seed"])
+    return list(map(list, enumerate(result["per_anchor"])))
+
+
 # task -> (spec, CSV header, payload -> the rows the CSV must hold, or None
 # where the payload keeps no rows)
 TASKS = {
     "scan-criterion": (SCAN, "anchor,depth,distance,norm_sp,margin,point", _scan_samples),
-    "direction-scan": (
-        dict(_lattice("direction-scan", {"anchors": 4}, CTREX), seed=3),
-        "anchor,oscillation",
-        lambda p: list(map(list, enumerate(p["per_anchor"])))),
+    "direction-scan": (DIRECTIONS, "anchor,oscillation", _direction_rows),
     "eig": (
         _lattice("eig", {"h": 0.2, "k": 2}),
         "index,eigenvalue",

@@ -217,8 +217,8 @@ def _monomials(dim):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
 def test_spectrum_invariant_under_random_gauge(dim, seed, grid_fraction):
-    # Dense path: at most about 720 sites.  The midpoint link phases integrate
-    # the gradient of a degree <= 2 polynomial exactly.
+    # At most about 720 sites.  The midpoint link phases integrate the
+    # gradient of a degree <= 2 polynomial exactly.
     rng = np.random.default_rng(seed)
     if dim == 2:
         base, dom, h = DiskCounterexampleField(0.4), Disk2D(1.0), 0.08 + 0.07 * grid_fraction
@@ -227,10 +227,10 @@ def test_spectrum_invariant_under_random_gauge(dim, seed, grid_fraction):
         base, dom, h = ConstantField(m - m.T), Ball3D(1.0), 0.18 + 0.12 * grid_fraction
     exps = _monomials(dim)
     poly = Polynomial(list(zip(rng.uniform(-3.0, 3.0, len(exps)).tolist(), exps)))
-    op_a = assemble(base, dom, h)
-    assert op_a.n_sites <= lattice.DENSE_CUTOFF
+    op_a, op_b = assemble(base, dom, h), assemble(GaugeShiftField(base, poly), dom, h)
+    assert op_b.n_sites == op_a.n_sites
     va, _ = op_a.lowest_eigenvalues(k=3)
-    vb, _ = assemble(GaugeShiftField(base, poly), dom, h).lowest_eigenvalues(k=3)
+    vb, _ = op_b.lowest_eigenvalues(k=3)
     np.testing.assert_allclose(vb, va, rtol=1e-10)
 
 
@@ -279,17 +279,16 @@ def test_landau_bottom_side10():
     assert vals[0] > DISCRETE_LANDAU
 
 
-def test_dense_and_sparse_paths_agree(monkeypatch):
+def test_lowest_eigenvalues_match_dense_oracle():
     op = assemble(ConstantField(plane_two_form(1.0)),
                   axis_box([-2.5, -2.5], [2.5, 2.5]), 0.25)
-    dense_vals, _ = op.lowest_eigenvalues(k=3)
-    monkeypatch.setattr(lattice, "DENSE_CUTOFF", 10)
+    dense_vals = scipy.linalg.eigh(op.matrix.toarray(), eigvals_only=True,
+                                   subset_by_index=(0, 2))
     sparse_vals, _ = op.lowest_eigenvalues(k=3)
     assert np.max(np.abs(dense_vals - sparse_vals)) < 1e-7
 
 
-def test_eigenvectors_orthonormal_and_sorted(monkeypatch):
-    monkeypatch.setattr(lattice, "DENSE_CUTOFF", 10)
+def test_eigenvectors_orthonormal_and_sorted():
     op = assemble(ConstantField(plane_two_form(1.0)),
                   axis_box([-2.5, -2.5], [2.5, 2.5]), 0.25)
     vals, vecs = op.lowest_eigenvalues(k=4)
@@ -309,37 +308,34 @@ def test_lowest_pairs_maxiter_raises(pools_at_two):
 def test_lowest_pairs_runs_on_one_blas_thread(pools_at_two, monkeypatch):
     seen = []
 
-    def splu(*args, **kwargs):
-        seen.append(pools_at_two())
-        return spla.splu(*args, **kwargs)
+    def splu(M, *args, **kwargs):
+        seen.append((M.shape[0], pools_at_two()))
+        return spla.splu(M, *args, **kwargs)
 
     monkeypatch.setattr(lattice, "spla", SimpleNamespace(splu=splu, norm=spla.norm))
     op = assemble(ConstantField(plane_two_form(1.0)),
                   axis_box([-5.0, -5.0], [5.0, 5.0]), 0.25)
-    assert op.n_sites > lattice.DENSE_CUTOFF
     lam = min_eigenvalue_of(op.matrix, rtol=1e-8, sigma=0.0)
-    assert seen and all(set(sizes) == {1} for sizes in seen)
+    assert seen and all(n == op.n_sites and set(sizes) == {1} for n, sizes in seen)
     assert set(pools_at_two()) == {2}
     assert lam == pytest.approx(LANDAU_SIDE10, abs=5e-6)
 
 
-def test_dense_eigenpairs_independent_of_blas_pool_size(pools_at_two, monkeypatch):
+def test_eigenpairs_independent_of_blas_pool_size(pools_at_two, monkeypatch):
     seen = []
-    eigh = scipy.linalg.eigh
+    solve = lattice.lowest_pairs
 
     def spy(*args, **kwargs):
         seen.append(pools_at_two())
-        return eigh(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    monkeypatch.setattr(lattice, "lowest_pairs", spy)
     op = assemble(ConstantField(plane_two_form(1.0)), axis_box([-3.0, -3.0], [3.0, 3.0]), 0.25)
-    assert op.n_sites <= lattice.DENSE_CUTOFF
     at_two = op.lowest_eigenvalues(k=2)
     for _, put in lattice._blas_pools():
         put(1)
     at_one = op.lowest_eigenvalues(k=2)
     assert len(seen) == 2 and all(set(sizes) == {1} for sizes in seen)
-    # Bit for bit: a 2-thread eigh moves these eigenvalues by about 3e-14.
     assert all(np.array_equal(a, b) for a, b in zip(at_two, at_one))
 
 def test_blas_threads_caps_and_restores(pools_at_two):
@@ -441,6 +437,19 @@ def test_singular_shift_retried_below(monkeypatch):
     assert abs(vals[0]) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tiny_real_matrices_match_dense_oracle(n):
+    # The block is as wide as the matrix; a real matrix is solved as complex.
+    rng = np.random.default_rng(n)
+    M = rng.normal(size=(n, n))
+    M = M + M.T
+    exact = np.linalg.eigvalsh(M)
+    vals, _ = lowest_pairs(sp.csr_matrix(M), n, rtol=1e-10)
+    np.testing.assert_allclose(vals, exact, rtol=1e-10, atol=1e-12)
+    assert min_eigenvalue_of(sp.csr_matrix(M), rtol=1e-10) == pytest.approx(
+        exact[0], rel=1e-10, abs=1e-12)
+
+
 def test_factor_errors_other_than_singularity_propagate(monkeypatch):
     def failing_splu(*args, **kwargs):
         raise MemoryError
@@ -458,25 +467,24 @@ def test_k_range_validated():
         op.lowest_eigenvalues(k=16)
 
 
-def test_indefinite_engine_matches_dense(monkeypatch):
+def test_indefinite_engine_matches_dense():
     op = assemble(ConstantField(plane_two_form(1.0)),
                   axis_box([-2.0, -2.0], [2.0, 2.0]), 0.25)
     w = 3.0 + np.sin(op.grid.sites[:, 0] * 5.0)
     A = (op.matrix - sp.diags(w)).tocsc()
     exact = np.linalg.eigvalsh(A.toarray())[0]
     assert exact < 0
-    monkeypatch.setattr(lattice, "DENSE_CUTOFF", 10)
     got = min_eigenvalue_of(A, rtol=1e-8)
     assert got == pytest.approx(exact, abs=1e-6)
     assert gershgorin_lower_bound(A) <= exact
 
 
-def test_both_eigensolvers_residual_check_the_dense_path(monkeypatch):
+def test_both_eigensolvers_residual_check_lowest_pairs(monkeypatch):
     op = assemble(ConstantField(plane_two_form(1.0)), unit_square(), 0.25)
     n = op.n_sites
     # A pair that is no eigenpair: (0, e_1) leaves the residual |H e_1|.
-    monkeypatch.setattr(scipy.linalg, "eigh",
-                        lambda M, **kw: (np.zeros(1), np.eye(n, 1, dtype=complex)))
+    monkeypatch.setattr(lattice, "lowest_pairs",
+                        lambda A, k, **kw: (np.zeros(1), np.eye(n, 1, dtype=complex)))
     with pytest.raises(SolverError, match="exceeds 1e-08"):
         op.lowest_eigenvalues(k=1)
     with pytest.raises(SolverError, match="exceeds 1e-06"):

@@ -7,10 +7,12 @@ oracles kept for the tests on purpose; a new one needs a deliberate entry in
 ``ALLOWED`` or ``ALLOWED_METHODS``.
 
 An optional parameter must be set by some call in the package, the tests or
-the benchmark: a default that no call overrides is a constant.
+the benchmark: a default that no call overrides is a constant.  A module-level
+constant (an upper-case name) must be read somewhere in the package.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import confinement_lab
@@ -58,6 +60,20 @@ def test_every_public_method_is_used_in_the_package():
     # (``row``, ``ground``) does not count as a use.
     _, methods, _, attrs = _package_names()
     assert {m for m in methods if m.split(".")[1] not in attrs} == ALLOWED_METHODS
+
+
+def test_every_module_constant_is_read_in_the_package():
+    constants, read = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                constants |= {f"{path.stem}.{t.id}" for target in node.targets
+                              for t in ast.walk(target) if isinstance(t, ast.Name)
+                              and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)}
+        read |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                 if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+    assert sorted(c for c in constants if c.split(".")[1] not in read) == []
 
 
 def _trees(folder):
