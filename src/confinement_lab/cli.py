@@ -245,15 +245,19 @@ def _r_hur_probe(ctx, seed):
         h_divisor=ctx["h_divisor"],
         tol=ctx["tol"],
     )
+    first, last = rows[0]["lambda_min_hardy"], rows[-1]["lambda_min_hardy"]
+    if len(rows) > 1:
+        bounded, warnings = bool(last >= first - abs(first)), []
+    else:  # a single row would compare with itself
+        bounded, warnings = None, ["bounded_below needs at least two deltas"]
     payload = {
         "eps": ctx["eps"],
         "h_divisor": ctx["h_divisor"],
         "rows": rows,
-        "bounded_below": bool(rows[-1]["lambda_min_hardy"]
-                              >= rows[0]["lambda_min_hardy"] - abs(rows[0]["lambda_min_hardy"])),
+        "bounded_below": bounded,
     }
     header = ["delta", "h", "n_sites", "lambda_min_field", "lambda_min_hardy", "hardy_scaled"]
-    return payload, _pick(header, rows), [], None
+    return payload, _pick(header, rows), warnings, None
 
 
 def _r_classify_radial(ctx, seed):

@@ -205,6 +205,18 @@ def _blas_pools():
     return pools
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none (musl,
+    macOS, Windows).  Looked up at the first use, not at import."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run every bundled OpenBLAS pool at one thread; restore the sizes after.
@@ -328,11 +340,24 @@ def _eigensolve(A, k, rtol, sigma):
     most 128 columns wide no part of it gains from a second thread, while
     two 2-thread pools contending for 2 cores take 8 to 23 ms per step
     against 6 ms at one thread (n = 4452, block 6).
+
+    Every solve, failed ones included, ends by handing the freed heap back
+    to the OS once its residuals are computed (glibc ``malloc_trim(0)``; a
+    no-op under any other C library).  Once glibc has raised its mmap
+    threshold, the factor's work arrays and the n x m blocks come from the
+    brk heap, and freed chunks below live data would otherwise stay
+    resident and stack under the next solve's peak.  The trim never changes
+    a number.
     """
-    with one_blas_thread():
-        vals, vecs = lowest_pairs(A, k, rtol=rtol, sigma=sigma)
-        target = rtol * max(1.0, spla.norm(A, np.inf))
-        res = np.linalg.norm(A @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
+    try:
+        with one_blas_thread():
+            vals, vecs = lowest_pairs(A, k, rtol=rtol, sigma=sigma)
+            target = rtol * max(1.0, spla.norm(A, np.inf))
+            res = np.linalg.norm(A @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
+    finally:
+        trim = _malloc_trim()
+        if trim is not None:
+            trim(0)
     bad = np.flatnonzero(res > target)
     if bad.size:
         i = bad[0]

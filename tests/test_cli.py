@@ -658,7 +658,7 @@ def test_reproduce_timers_start_after_module_import():
     assert out.splitlines()[0].startswith("PASS  probe: True (")
 
 
-def test_sparse_path_csv_independent_of_blas_pool_size(tmp_path):
+def test_eig_csv_bytes_independent_of_blas_pool_size(tmp_path):
     import subprocess
     import sys
 
@@ -680,5 +680,16 @@ def test_sparse_path_csv_independent_of_blas_pool_size(tmp_path):
                        check=True, capture_output=True)
         csvs.append((out / "disk.csv").read_bytes())
     report = json.loads((tmp_path / "threads1" / "disk.report.json").read_text())
-    assert report["payload"]["n_sites"] > 1500  # the sparse path
+    assert report["payload"]["n_sites"] > 1500  # a solve of thousands of sites
     assert csvs[0] == csvs[1]
+
+
+def test_one_delta_probe_leaves_boundedness_undecided(tmp_path):
+    spec = {"schema": 1, "task": "hur-probe", "output": "probe", "params": {"deltas": [0.2]},
+            "field": {"kind": "disk_counterexample", "alpha": 0.5}, "domain": DISK}
+    rc, outdir = run(tmp_path, spec)
+    assert rc == 0
+    report = json.loads((outdir / "probe.report.json").read_text())
+    assert report["payload"]["bounded_below"] is None
+    assert report["warnings"] == ["bounded_below needs at least two deltas"]
+    assert len((outdir / "probe.csv").read_text().splitlines()) == 2

@@ -491,6 +491,73 @@ def test_both_eigensolvers_residual_check_lowest_pairs(monkeypatch):
         min_eigenvalue_of(op.matrix.tocsc(), rtol=1e-6)
 
 
+def test_every_eigensolve_trims_the_heap_once(monkeypatch):
+    trims = []
+    monkeypatch.setattr(lattice, "_malloc_trim", lambda: trims.append)
+    op = assemble(ConstantField(plane_two_form(1.0)), unit_square(), 0.25)
+    op.lowest_eigenvalues(k=2)
+    assert trims == [0]
+    min_eigenvalue_of(op.matrix.tocsc())
+    assert trims == [0, 0]
+
+    def stall(A, k, **kw):
+        raise SolverError("stalled")
+
+    monkeypatch.setattr(lattice, "lowest_pairs", stall)
+    with pytest.raises(SolverError, match="stalled"):
+        op.lowest_eigenvalues(k=1)
+    with pytest.raises(SolverError, match="stalled"):
+        min_eigenvalue_of(op.matrix.tocsc())
+    assert trims == [0] * 4
+    # A pair that fails the residual check is trimmed too.
+    monkeypatch.setattr(lattice, "lowest_pairs",
+                        lambda A, k, **kw: (np.zeros(1), np.eye(op.n_sites, 1, dtype=complex)))
+    with pytest.raises(SolverError, match="exceeds"):
+        op.lowest_eigenvalues(k=1)
+    assert trims == [0] * 5
+
+
+def test_eigenpairs_identical_without_heap_trim(monkeypatch):
+    op = assemble(ConstantField(plane_two_form(1.0)), axis_box([-3.0, -3.0], [3.0, 3.0]), 0.25)
+    shifted = (op.matrix - sp.diags(np.linspace(0.0, 20.0, op.n_sites))).tocsc()
+    trimmed = (*op.lowest_eigenvalues(k=2), min_eigenvalue_of(shifted))
+    monkeypatch.setattr(lattice, "_malloc_trim", lambda: None)
+    untrimmed = (*op.lowest_eigenvalues(k=2), min_eigenvalue_of(shifted))
+    assert all(np.array_equal(a, b) for a, b in zip(trimmed, untrimmed))
+
+
+def test_heap_trim_lowers_the_disk_probe_peak_rss():
+    import os
+    import subprocess
+    import sys
+
+    if lattice._malloc_trim() is None:
+        pytest.skip("the C library has no malloc_trim")
+    # Peak RSS of a fresh process running the disk probe's two finest rows,
+    # with the trim and with it disabled.  Without it, the field column's
+    # freed work arrays stay resident under the hardy column's factor.  The
+    # peak is VmHWM, not ru_maxrss: a spawned child's ru_maxrss starts at
+    # the spawning process's peak, here the test runner's.
+    code = (
+        "import sys\n"
+        "from confinement_lab import lattice\n"
+        "from confinement_lab.domains import Disk2D\n"
+        "from confinement_lab.fields import DiskCounterexampleField\n"
+        "if sys.argv[1] == 'off':\n"
+        "    lattice._malloc_trim = lambda: None\n"
+        "lattice.hur_hypothesis_probe(DiskCounterexampleField(0.3), Disk2D(1.0),\n"
+        "                             deltas=(0.05, 0.025))\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lattice.__file__)))
+    peak_kb = {mode: int(subprocess.run([sys.executable, "-c", code, mode], env=env,
+                                        capture_output=True, text=True,
+                                        check=True).stdout)
+               for mode in ("on", "off")}
+    assert peak_kb["off"] - peak_kb["on"] >= 8 * 1024, peak_kb
+
+
 def test_matrix_market_round_trip(tmp_path):
     op = assemble(ConstantField(plane_two_form(1.0)), unit_square(), 0.25)
     path = tmp_path / "op.mtx"
