@@ -234,6 +234,11 @@ def one_blas_thread():
             put(size)
 
 
+def _orthonormal(B):
+    """Orthonormal basis of the columns of B; B may be overwritten."""
+    return scipy.linalg.qr(B, mode="economic", overwrite_a=True, check_finite=False)[0]
+
+
 def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
     """k lowest eigenpairs of a sparse Hermitian matrix, possibly indefinite.
 
@@ -259,6 +264,11 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
     Gershgorin bound.  Residuals are measured against rtol * |A|_inf.  The
     start block and the columns added when it grows are drawn from one
     generator seeded with 0.  A real A is solved as complex.
+
+    A step costs one solve and one sparse product: A Y serves both the
+    Rayleigh quotient Y^H A Y and the residual A X = (A Y) S of the Ritz
+    vectors X = Y S.  Blocks are orthonormalized by scipy's LAPACK economic
+    QR, in place; a solve's block is checked finite before it.
     """
     A = A.tocsc().astype(complex, copy=False)
     n = A.shape[0]
@@ -283,8 +293,7 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
     m_cap = min(n, max(128, 4 * k))
     m = min(k + 2, m_cap)
     rng = np.random.default_rng(0)
-    X = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-    X, _ = np.linalg.qr(X)
+    X = _orthonormal(rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
     window, prev_res = 8, np.inf
     advances_ok, last_res = True, np.inf
     for it in range(maxiter):
@@ -292,11 +301,12 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
         if not np.all(np.isfinite(Y)):
             lu, sigma = factor(sigma - max(1e-6 * (1.0 + abs(sigma)), 1e-8))
             continue
-        Y, _ = np.linalg.qr(Y)
-        T = Y.conj().T @ (A @ Y)
+        Y = _orthonormal(Y)
+        AY = A @ Y
+        T = Y.conj().T @ AY
         theta, S = scipy.linalg.eigh(0.5 * (T + T.conj().T))
         X = Y @ S
-        R = A @ X[:, :k] - X[:, :k] * theta[:k]
+        R = AY @ S[:, :k] - X[:, :k] * theta[:k]
         rnorms = np.linalg.norm(R, axis=0)
         last_res = float(np.max(rnorms))
         if last_res <= target:
@@ -315,7 +325,7 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
             elif last_res > 0.5 * prev_res and m < m_cap:
                 grow = min(m, m_cap - m)
                 F = rng.normal(size=(n, grow)) + 1j * rng.normal(size=(n, grow))
-                X, _ = np.linalg.qr(np.hstack([X, F]))
+                X = _orthonormal(np.hstack([X, F]))
                 m += grow
             prev_res = last_res
     raise SolverError(
@@ -335,8 +345,8 @@ def _eigensolve(A, k, rtol, sigma):
     This is the one place that sets the BLAS thread policy: the solve and
     its residual check run with the numpy and scipy OpenBLAS pools at one
     thread, so the eigenpairs do not depend on the host's pool size.  A
-    ``lowest_pairs`` step alternates between the two libraries (QR and
-    matmul in numpy's, the SuperLU solve and eigh in scipy's); on a block at
+    ``lowest_pairs`` step alternates between the two libraries (dense matmul
+    in numpy's; the SuperLU solve, QR and eigh in scipy's); on a block at
     most 128 columns wide no part of it gains from a second thread, while
     two 2-thread pools contending for 2 cores take 8 to 23 ms per step
     against 6 ms at one thread (n = 4452, block 6).

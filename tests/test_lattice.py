@@ -338,6 +338,49 @@ def test_eigenpairs_independent_of_blas_pool_size(pools_at_two, monkeypatch):
     assert len(seen) == 2 and all(set(sizes) == {1} for sizes in seen)
     assert all(np.array_equal(a, b) for a, b in zip(at_two, at_one))
 
+
+class ProductCountingCSC(sp.csc_matrix):
+    """Counts its products with vectors and blocks.  A complex one passes
+    ``tocsc()`` and ``astype(complex, copy=False)`` as itself; the matrices
+    derived from it (``abs``, ``A - s I``) count on their own."""
+
+    products = 0
+
+    def _matmul_vector(self, other):
+        self.products += 1
+        return super()._matmul_vector(other)
+
+    def _matmul_multivector(self, other):
+        self.products += 1
+        return super()._matmul_multivector(other)
+
+
+def test_one_sparse_product_per_inverse_iteration_step(monkeypatch):
+    solves = []
+    splu = spla.splu
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(rhs.shape)
+            return self.lu.solve(rhs)
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+    monkeypatch.setattr(lattice, "spla", SimpleNamespace(
+        splu=lambda *args, **kwargs: Factor(splu(*args, **kwargs)), norm=spla.norm))
+    # The 48 x 48 Landau box at b = 1: 36 steps on 6 columns, one shift advance.
+    op = assemble(ConstantField(plane_two_form(1.0)), axis_box([-4.8, -4.8], [4.8, 4.8]), 0.2)
+    assert op.n_sites == 2304
+    A = ProductCountingCSC(op.matrix.astype(complex))
+    vals, _ = lowest_pairs(A, 4, rtol=1e-8, sigma=0.0)
+    assert solves and A.products == len(solves)
+    assert vals[0] == pytest.approx(0.9950445907, rel=1e-9)
+
+
 def test_blas_threads_caps_and_restores(pools_at_two):
     with lattice.one_blas_thread():
         assert set(pools_at_two()) == {1}

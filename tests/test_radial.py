@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from confinement_lab import radial
 from confinement_lab.errors import RangeError, SingularityError, ValidationError
 from confinement_lab.radial import (
     EXPONENT_BAND,
@@ -59,6 +61,26 @@ monopole_batches = st.tuples(
 ).map(lambda drawn: ([reduce_monopole(m) for m in drawn[0]], drawn[1]))
 
 
+potentials = st.one_of(
+    st.builds(lambda alpha, m: reduce_disk_mode(alpha, m).q,
+              st.floats(1e-3, 1e3, exclude_min=True), st.integers(-3, 3)),
+    st.builds(lambda charge: reduce_monopole(charge).q, st.integers(-6, 6).filter(bool)),
+    # the self-test's c / r^2, at its couplings and elsewhere
+    st.builds(radial._inverse_square, st.sampled_from((0.0, 0.3, 0.74, 0.76, 2.0))
+              | st.floats(-10.0, 10.0)),
+)
+
+
+def evaluated(q, r):
+    """(bits of q(r), the RuntimeWarnings it raised); numpy says "scalar
+    divide" where an array says "divide", so that word is dropped."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = q(r)
+    return np.float64(value).tobytes(), [
+        (w.category, str(w.message).replace("scalar ", "")) for w in caught]
+
+
 def counted(problem):
     """Wrap ``problem``'s potential; the returned list grows by one per call."""
     calls = []
@@ -95,6 +117,33 @@ class TestReductions:
         assert p.interval == (0.0, math.inf)
         assert p.decisive_endpoints == (0.0, math.inf)
         assert p.provenance["angular_level"] == "3/2"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(potentials, st.lists(st.floats(0.0, 1e6) | st.floats(0.0, 1.0), min_size=1,
+                                max_size=100))
+    @example(reduce_disk_mode(0.5, 1).q, [1.0])   # the disk pole
+    @example(reduce_disk_mode(0.5, 0).q, [1.0])
+    @example(reduce_disk_mode(0.5, 2).q, [0.0])   # the polar origin
+    # Here a float64 scalar's x**2, computed through pow, moves q by an ulp.
+    @example(reduce_disk_mode(0.5, 0).q, [0.7449])
+    @example(reduce_disk_mode(0.5, 1).q, [0.0588, 0.9477])
+    @example(reduce_monopole(1).q, [0.0397])
+    @example(radial._inverse_square(0.3), [0.6352])
+    @example(reduce_monopole(2).q, [0.0])         # the monopole puncture
+    @example(reduce_monopole(-3).q, [1e-170])     # r * r underflows to 0
+    @example(radial._inverse_square(0.0), [0.0])
+    def test_scalar_potential_matches_array_bit_for_bit(self, q, rs):
+        # The ODE right-hand side calls q with a float once per member and
+        # stage; the indicial method calls it with arrays.
+        for r in rs:
+            array_bits, array_warned = evaluated(lambda x: q(x)[0], np.array([r]))
+            for scalar in (r, np.float64(r)):
+                assert evaluated(q, scalar) == (array_bits, array_warned)
+
+    def test_potential_pole_warns_and_returns_inf(self):
+        bits, warned = evaluated(reduce_monopole(2).q, 0.0)
+        assert bits == np.float64(np.inf).tobytes()
+        assert warned == [(RuntimeWarning, "divide by zero encountered in divide")]
 
 
 class TestIndicial:
