@@ -1,7 +1,10 @@
-"""Domains with an exact distance-to-boundary function.
+"""Domains defined by an exact signed distance to the boundary.
 
 Every domain here admits a closed-form distance D(x) to its boundary, which
 is what the confinement criterion compares against the field's spectral norm.
+A domain kind is defined by ``signed_distance(x)``: D(x) inside, and a value
+<= 0 or NaN everywhere else, so ``signed_distance(x) > 0`` is the interior
+test.
 Supported kinds: planar disk and annulus, 3-d ball, solid torus, convex
 polytopes cut out by affine functionals, and punctured Euclidean space (the
 boundary is the deleted point).
@@ -68,17 +71,17 @@ def _reject_unknown(params, known, kind):
 
 
 class Domain(JsonKind, ABC):
-    """Open connected region with exact boundary distance."""
+    """Open connected region with exact boundary distance.
+
+    ``signed_distance`` is the one definition of a kind: the distance to the
+    boundary inside, and a value <= 0 or NaN everywhere else.
+    """
 
     dim: int
 
     @abstractmethod
-    def contains(self, x) -> np.ndarray:
-        """Strict interior test, broadcasting over leading axes of x."""
-
-    @abstractmethod
-    def _distance_raw(self, x) -> np.ndarray:
-        pass
+    def signed_distance(self, x) -> np.ndarray:
+        """D(x) inside, <= 0 or NaN outside; broadcasts over leading axes of x."""
 
     @abstractmethod
     def inradius(self) -> float:
@@ -97,10 +100,9 @@ class Domain(JsonKind, ABC):
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise DomainError(f"point dimension {x.shape[-1]} != domain dimension {self.dim}")
-        inside = self.contains(x)
-        if not np.all(inside):
+        d = self.signed_distance(x)
+        if not np.all(d > 0):
             raise DomainError("distance requested at a point outside the domain")
-        d = self._distance_raw(x)
         return float(d) if np.ndim(d) == 0 else d
 
     def near_boundary_rays(self, n_points, depths, rng=None):
@@ -149,11 +151,8 @@ class Domain(JsonKind, ABC):
             if tries > 10000:
                 raise RangeError("interior sampling failed; domain too thin?")
             cand = rng.uniform(lo, hi, size=(max(2 * (n - got), 64), self.dim))
-            keep = self.contains(cand)
-            if min_depth > 0.0:
-                d = self._distance_raw(cand)
-                keep = keep & (d >= min_depth)
-            cand = cand[keep]
+            d = self.signed_distance(cand)
+            cand = cand[(d > 0) & (d >= min_depth)]
             take = min(n - got, cand.shape[0])
             out[got : got + take] = cand[:take]
             got += take
@@ -180,57 +179,38 @@ def _fibonacci_sphere(n):
     return np.stack([r * np.cos(th), r * np.sin(th), z], axis=-1)
 
 
-class Disk2D(Domain):
-    kind = "disk2d"
+class _Round(Domain):
+    """Disk or ball of the given radius about the origin."""
+
     json_keys = ("radius",)
-    dim = 2
 
     def __init__(self, radius=1.0):
         if radius <= 0:
-            raise ValidationError("disk radius must be positive")
+            raise ValidationError(f"{self.kind} radius must be positive")
         self.radius = float(radius)
 
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x, axis=-1) < self.radius
-
-    def _distance_raw(self, x):
+    def signed_distance(self, x):
         return self.radius - np.linalg.norm(np.asarray(x, float), axis=-1)
 
     def inradius(self):
         return self.radius
 
     def bounding_box(self):
-        r = self.radius
-        return -r * np.ones(2), r * np.ones(2)
+        return -self.radius * np.ones(self.dim), self.radius * np.ones(self.dim)
+
+
+class Disk2D(_Round):
+    kind = "disk2d"
+    dim = 2
 
     def _anchors(self, n, rng):
         anchors = _circle_points(n, self.radius)
         return anchors, -anchors / self.radius
 
 
-class Ball3D(Domain):
+class Ball3D(_Round):
     kind = "ball3d"
-    json_keys = ("radius",)
     dim = 3
-
-    def __init__(self, radius=1.0):
-        if radius <= 0:
-            raise ValidationError("ball radius must be positive")
-        self.radius = float(radius)
-
-    def contains(self, x):
-        return np.linalg.norm(np.asarray(x, float), axis=-1) < self.radius
-
-    def _distance_raw(self, x):
-        return self.radius - np.linalg.norm(np.asarray(x, float), axis=-1)
-
-    def inradius(self):
-        return self.radius
-
-    def bounding_box(self):
-        r = self.radius
-        return -r * np.ones(3), r * np.ones(3)
 
     def _anchors(self, n, rng):
         dirs = _fibonacci_sphere(n)
@@ -248,11 +228,7 @@ class Annulus2D(Domain):
         self.r_in = float(r_in)
         self.r_out = float(r_out)
 
-    def contains(self, x):
-        r = np.linalg.norm(np.asarray(x, float), axis=-1)
-        return (r > self.r_in) & (r < self.r_out)
-
-    def _distance_raw(self, x):
+    def signed_distance(self, x):
         r = np.linalg.norm(np.asarray(x, float), axis=-1)
         return np.minimum(r - self.r_in, self.r_out - r)
 
@@ -296,10 +272,7 @@ class SolidTorus3D(Domain):
         rho = np.linalg.norm(x[..., :2], axis=-1)
         return np.sqrt((rho - self.major_radius) ** 2 + x[..., 2] ** 2)
 
-    def contains(self, x):
-        return self._core_dist(x) < self.minor_radius
-
-    def _distance_raw(self, x):
+    def signed_distance(self, x):
         return self.minor_radius - self._core_dist(x)
 
     def inradius(self):
@@ -407,10 +380,7 @@ class Polytope(Domain):
     def values(self, x):
         return np.asarray(x, dtype=float) @ self._N.T + self._off
 
-    def contains(self, x):
-        return np.all(self.values(x) < 0.0, axis=-1)
-
-    def _distance_raw(self, x):
+    def signed_distance(self, x):
         return np.min(-self.values(x), axis=-1)
 
     def inradius(self):
@@ -441,7 +411,8 @@ class Polytope(Domain):
             nvec = -self.functionals[i].normal
             probe = y + max_check * nvec
             # Accept only anchors whose inward ray realizes the depth exactly.
-            if self.contains(probe) and abs(self._distance_raw(probe) - max_check) < 1e-9:
+            d = self.signed_distance(probe)
+            if d > 0 and abs(d - max_check) < 1e-9:
                 anchors.append(y)
                 inwards.append(nvec)
                 return True
@@ -499,10 +470,7 @@ class PuncturedSpace(Domain):
             raise ValidationError("punctured space needs dimension >= 2")
         self.dim = int(dim)
 
-    def contains(self, x):
-        return np.linalg.norm(np.asarray(x, float), axis=-1) > 0.0
-
-    def _distance_raw(self, x):
+    def signed_distance(self, x):
         return np.linalg.norm(np.asarray(x, float), axis=-1)
 
     def inradius(self):
@@ -590,8 +558,8 @@ def lipschitz_check(dom: Domain, n_pairs=2000, seed=0):
     rng = np.random.default_rng(seed)
     a = dom.sample_interior(n_pairs, rng)
     b = dom.sample_interior(n_pairs, rng)
-    da = dom._distance_raw(a)
-    db = dom._distance_raw(b)
+    da = dom.signed_distance(a)
+    db = dom.signed_distance(b)
     sep = np.linalg.norm(a - b, axis=-1)
     ok = sep > 1e-12
     return float(np.max(np.abs(da[ok] - db[ok]) / sep[ok]))

@@ -96,9 +96,10 @@ def central_difference_batch(potential, x, dim, domain=None, step=None) -> np.nd
     if step is None:
         h = FD_BASE * (1.0 + np.linalg.norm(pts, axis=-1))
         if domain is not None:
-            if not np.all(domain.contains(pts)):
+            dist = domain.signed_distance(pts)
+            if not np.all(dist > 0):
                 raise DomainError("field evaluation outside the domain")
-            h = np.minimum(h, FD_BOUNDARY_FRACTION * domain._distance_raw(pts))
+            h = np.minimum(h, FD_BOUNDARY_FRACTION * dist)
     else:
         h = np.full(pts.shape[0], float(step))
     jac = np.empty((pts.shape[0], dim, dim))

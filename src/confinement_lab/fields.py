@@ -249,13 +249,13 @@ class ToroidalField(MagneticField):
 
     def potential(self, x):
         x = np.asarray(x, dtype=float)
-        if not np.all(self.domain.contains(x)):
-            raise DomainError("toroidal potential evaluated outside its domain")
-        dist = self.domain._distance_raw(x)
+        dist = self.domain.signed_distance(x)
+        if not np.all(dist > 0):
+            raise DomainError(f"{self.label} potential evaluated outside its domain")
         return self.base_one_form(x) / dist[..., None] ** self.alpha
 
 
-class NonToroidalField(MagneticField):
+class NonToroidalField(ToroidalField):
     """A = A0 / D^2 on a ball; A0 smooth, its boundary pullback has zeros."""
 
     kind = "nontoroidal"
@@ -265,16 +265,8 @@ class NonToroidalField(MagneticField):
     def __init__(self, domain: Ball3D, base_one_form=None):
         if not isinstance(domain, Ball3D):
             raise ValidationError("non-toroidal field is defined on a ball")
-        self.domain = domain
-        self.dim = 3
-        self.base_one_form = base_one_form if base_one_form is not None else RotationOneForm(1.0)
-
-    def potential(self, x):
-        x = np.asarray(x, dtype=float)
-        if not np.all(self.domain.contains(x)):
-            raise DomainError("non-toroidal potential evaluated outside its domain")
-        dist = self.domain._distance_raw(x)
-        return self.base_one_form(x) / dist[..., None] ** 2
+        super().__init__(2.0, domain,
+                         base_one_form if base_one_form is not None else RotationOneForm(1.0))
 
 
 class DiskCounterexampleField(MagneticField):

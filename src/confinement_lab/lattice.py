@@ -85,12 +85,7 @@ def build_grid(dom, h, delta=0.0, offset=None):
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=-1)
     sites = offset + h * coords
-    inside = dom.contains(sites)
-    if delta > 0:
-        keep = np.zeros(len(sites), dtype=bool)
-        keep[inside] = dom.distance(sites[inside]) > delta
-    else:
-        keep = inside
+    keep = dom.signed_distance(sites) > delta
     if not np.any(keep):
         raise ValidationError("no lattice sites survive inside the domain")
     return Grid(sites=sites[keep], coords=coords[keep], h=float(h), domain=dom)
@@ -105,7 +100,7 @@ def _wall_fractions(dom, sites, dirs, h, delta):
     hi = np.full(len(sites), h)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        g = dom._distance_raw(sites + mid[:, None] * dirs) - delta
+        g = dom.signed_distance(sites + mid[:, None] * dirs) - delta
         pos = g > 0.0
         lo[pos] = mid[pos]
         hi[~pos] = mid[~pos]

@@ -262,7 +262,7 @@ def test_ac09_polytope_pointwise_bound():
 
     lo, hi = square.bounding_box()
     cand = np.random.default_rng(55).uniform(lo, hi, size=(40000, 2))
-    sq_pts = cand[square.contains(cand)][:10000]
+    sq_pts = cand[square.signed_distance(cand) > 0][:10000]
     tri_pts = rng.dirichlet(np.ones(3), size=10000) @ (verts / diam)
 
     worst = np.inf

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confinement_lab.domains import (
     AffineFunctional,
@@ -16,6 +20,8 @@ from confinement_lab.domains import (
     rotated_unit_square,
 )
 from confinement_lab.errors import DomainError, RangeError, ValidationError
+from confinement_lab.exterior import central_difference_batch
+from confinement_lab.fields import ToroidalField
 
 
 ALL_DOMAINS = [
@@ -55,7 +61,7 @@ class TestDistances:
         assert t.distance([3.0, 0.0, 0.0]) == pytest.approx(1.0)
         assert t.distance([3.5, 0.0, 0.0]) == pytest.approx(0.5)
         assert t.distance([3.0, 0.0, 0.25]) == pytest.approx(0.75)
-        assert not t.contains([0.0, 0.0, 0.0])
+        assert not t.signed_distance([0.0, 0.0, 0.0]) > 0
 
     def test_square_distance_is_min_facet_gap(self):
         sq = axis_box([0.0, 0.0], [1.0, 1.0])
@@ -162,8 +168,8 @@ class TestPolytope:
 
     def test_triangle_from_vertices(self):
         tri = polygon_from_vertices([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-        assert tri.contains([0.5, 0.5])
-        assert not tri.contains([1.5, 1.5])
+        assert tri.signed_distance([0.5, 0.5]) > 0
+        assert not tri.signed_distance([1.5, 1.5]) > 0
         # Distance to the diagonal edge x + y = 2 from the origin corner region.
         assert tri.distance([0.2, 0.2]) == pytest.approx(0.2)
 
@@ -241,7 +247,7 @@ def test_closed_form_geometry_matches_linprog(d, seed):
     assert np.max(np.abs(got_lo - lo)) <= 1e-12
     assert np.max(np.abs(got_hi - hi)) <= 1e-12
     center = poly.chebyshev_center()
-    assert poly.contains(center)
+    assert poly.signed_distance(center) > 0
     assert abs(poly.distance(center) - poly.inradius()) <= 1e-12
 
 
@@ -278,3 +284,70 @@ class TestJson:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
             domain_from_json({"kind": "disk2d", "radius": 1.0, "color": "red"})
+
+
+# ---------------------------------------------------------------------------
+# the sign contract: signed_distance(x) > 0 is the interior test
+
+_norm = lambda x: np.linalg.norm(x, axis=-1)
+_facets_negative = lambda dom, x: np.all(dom.values(x) < 0.0, axis=-1)
+
+# Each kind's strict interior, written out independently of signed_distance.
+SIGN_CASES = {
+    "disk": (Disk2D(1.0), lambda dom, x: _norm(x) < dom.radius),
+    "annulus": (Annulus2D(0.5, 2.0),
+                lambda dom, x: (_norm(x) > dom.r_in) & (_norm(x) < dom.r_out)),
+    "ball": (Ball3D(1.5), lambda dom, x: _norm(x) < dom.radius),
+    "torus": (SolidTorus3D(3.0, 1.0), lambda dom, x: np.sqrt(
+        (_norm(x[..., :2]) - dom.major_radius) ** 2 + x[..., 2] ** 2) < dom.minor_radius),
+    "box": (axis_box([0.0, 0.0], [1.0, 1.0]), _facets_negative),
+    "rotated-square": (rotated_unit_square(), _facets_negative),
+    "triangle": (polygon_from_vertices([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]), _facets_negative),
+    **{f"punctured-{d}": (PuncturedSpace(d), lambda dom, x: _norm(x) > 0.0) for d in (2, 3, 4)},
+}
+
+_coords = st.floats(-4.0, 4.0) | st.sampled_from(
+    [0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 1e-300, 5e-324, 1e300, math.nan, math.inf, -math.inf])
+
+
+@pytest.mark.parametrize("kind", SIGN_CASES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_positive_signed_distance_is_the_interior(kind, data):
+    dom, interior = SIGN_CASES[kind]
+    d = dom.dim
+    anchors, inwards = dom._anchors(16, np.random.default_rng(0))
+    picks = data.draw(st.lists(st.integers(0, len(anchors) - 1), max_size=6))
+    rows = [
+        np.array(data.draw(st.lists(st.lists(_coords, min_size=d, max_size=d), max_size=12)),
+                 dtype=float).reshape(-1, d),
+        anchors[picks],                                   # exactly on the boundary
+        anchors[picks] - 1e3 * inwards[picks],            # far outside
+        np.full((data.draw(st.integers(0, 2)), d), math.nan),
+    ]
+    x = np.concatenate(rows)
+    # 1e300 and inf rows overflow or cancel to NaN alike in both formulas
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = interior(dom, x)
+        assert np.array_equal(dom.signed_distance(x) > 0, want)
+        for row, inside in zip(x[:3], want):
+            assert bool(dom.signed_distance(row) > 0) == inside
+        if np.all(want):
+            assert np.array_equal(dom.distance(x), dom.signed_distance(x))
+        else:
+            with pytest.raises(DomainError):
+                dom.distance(x)
+
+
+def test_torus_core_distance_once_per_call(monkeypatch):
+    dom = SolidTorus3D(3.0, 1.0)
+    calls = []
+    core = SolidTorus3D._core_dist
+    monkeypatch.setattr(SolidTorus3D, "_core_dist",
+                        lambda self, x: calls.append(1) or core(self, x))
+    x = np.array([[3.5, 0.0, 0.0], [0.0, 3.0, 0.25]])
+    for evaluate in (dom.distance, ToroidalField(2.0, dom).potential,
+                     lambda x: central_difference_batch(lambda p: p, x, 3, domain=dom)):
+        calls.clear()
+        evaluate(x)
+        assert len(calls) == 1

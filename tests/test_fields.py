@@ -438,6 +438,16 @@ class TestNonToroidalField:
             norm = norm_sp_batch(f.field_matrix_batch(x))
             assert norm == pytest.approx(2.0 / depth**3, rel=1e-3)
 
+    def test_potential_is_base_over_squared_distance(self):
+        base = RotationOneForm(0.4)
+        x = np.random.default_rng(3).uniform(-0.5, 0.5, size=(200, 3))
+        f = NonToroidalField(Ball3D(1.5), base)
+        want = base(x) / (1.5 - np.linalg.norm(x, axis=-1))[..., None] ** 2
+        assert np.array_equal(f.potential(x), want)
+        assert "alpha" not in f.to_json()
+        with pytest.raises(ValidationError):
+            NonToroidalField(Disk2D(1.0), base)
+
 
 # ---------------------------------------------------------------------------
 # gauge shifts
