@@ -751,10 +751,9 @@ def _load_thresholds(arg):
 
 def _reproduce(thresholds_arg):
     thresholds = _load_thresholds(thresholds_arg)
-    # Import the numeric layers, and the scipy subpackages that they import
+    # Import the numeric layers, and the scipy subpackage that they import
     # on first use, before the first timer, so that no check's printed time
     # includes module import.
-    import scipy.integrate  # noqa: F401
     import scipy.optimize  # noqa: F401
 
     from . import criterion, domains, fields, lattice, radial, spherical  # noqa: F401

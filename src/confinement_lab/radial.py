@@ -18,12 +18,12 @@ equation at a nonreal spectral parameter in the log coordinate t = ln(dist),
 
 whose solutions grow like e^{s t}; the dominant measured exponent is s_minus,
 and the endpoint is limit point iff s_minus <= -1/2 (then x^{s_minus} just
-fails to be square integrable).  The problems that share an endpoint are
-integrated as one stacked system, so step control is the RMS over the batch
-and a classification can move at about 1e-10 with its batch mates.
+fails to be square integrable).  The equation is solved by Chebyshev
+collocation between the sample points, at two node counts that must agree.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional
@@ -44,6 +44,10 @@ EXPONENT_BAND = 0.02
 CRITICAL_COUPLING = 0.75
 # Spectral parameter of the solver method: nonreal, so the Weyl alternative applies.
 SPECTRAL_PARAMETER = 1j
+# Chebyshev-Lobatto node counts of the solver method, and the largest relative
+# gap between their two solutions that still counts as resolved.
+NODE_COUNTS = (16, 24)
+COLLOCATION_TOL = 1e-9
 
 
 @dataclass
@@ -95,22 +99,10 @@ def indicial_roots(c):
 # model reductions
 
 
-def _real(r):
-    """r in float64: a float as an ``np.float64`` scalar, else as an array.
-
-    ``_coefficient`` passes a float once per member per ODE stage; scalar
-    arithmetic takes about 1 us there against 5 us on a 0-d array, with the
-    bits an array gives and numpy's inf and warnings at a pole.  Squares are
-    written r * r, as numpy computes an array's r**2: a scalar's r**2 goes
-    through C pow, which can be an ulp off.
-    """
-    return np.float64(r) if isinstance(r, float) else np.asarray(r, dtype=float)
-
-
 def _inverse_square(c):
     """The potential c / r^2."""
     def q(r):
-        r = _real(r)
+        r = np.asarray(r, dtype=float)
         return c / (r * r)
     return q
 
@@ -133,7 +125,7 @@ def reduce_disk_mode(alpha, mode):
     m = int(mode)
 
     def q(r):
-        r = _real(r)
+        r = np.asarray(r, dtype=float)
         den = r - 1.0
         return (
             (m * m - 0.25) / (r * r)
@@ -268,60 +260,91 @@ def classify_indicial(problem: RadialProblem, endpoint):
 
 
 def _coefficient(problem, endpoint):
-    """g of w'' = drift w' + g(t) w for ``problem`` at ``endpoint``: q - lambda
-    at r = t toward infinity, x^2 (q - lambda) at dist x = e^t from a finite
-    endpoint."""
+    """g of w'' = drift w' + g(t) w for ``problem`` at ``endpoint``, for an
+    array of t: q - lambda at r = t toward infinity, x^2 (q - lambda) at dist
+    x = e^t from a finite endpoint."""
     if math.isinf(endpoint):
-        return lambda r: complex(problem.q(r)) - SPECTRAL_PARAMETER
+        return lambda t: problem.q(t) - SPECTRAL_PARAMETER
     a, b = problem.interval
     if not (endpoint == a or endpoint == b):
         raise RangeError(f"endpoint {endpoint} is not an endpoint of {problem.interval}")
     sign = 1.0 if endpoint == a else -1.0
 
     def g(t):
-        x = math.exp(t)
-        return x * x * (complex(problem.q(endpoint + sign * x)) - SPECTRAL_PARAMETER)
+        x = np.exp(t)
+        return x * x * (problem.q(endpoint + sign * x) - SPECTRAL_PARAMETER)
     return g
 
 
-def _fundamental_magnitudes(coefficients, t0, t_eval, drift, start=0):
-    """|w| at ``t_eval`` for both solutions of w'' = drift w' + g_k(t) w with
-    w(t0) = 1, w'(t0) = 0 and w(t0) = 0, w'(t0) = 1, for every coefficient g_k,
-    integrated together as the stacked fundamental system [w1, w1', w2, w2'] x n
-    (one call of each g_k per stage).  Returns one entry per coefficient: its
-    (2, len(t_eval)) magnitudes, or the solver's message when its integration
-    failed.  When a batch fails, each member is solved again alone, so only the
-    failing members are lost, at one more failed integration each.  A
-    coefficient that is not finite raises SingularityError: the step-size
-    control would never leave it."""
-    # Imported here: scipy.integrate loads scipy.optimize, which no other
-    # radial function needs.
-    from scipy.integrate import solve_ivp
+@functools.cache
+def _lobatto(n):
+    """The n Chebyshev-Lobatto nodes on [-1, 1], ascending, and the matrix
+    that differentiates the polynomial through them (barycentric form)."""
+    x = -np.cos(np.pi * np.arange(n) / (n - 1))
+    w = (-1.0) ** np.arange(n)
+    w[[0, -1]] /= 2.0
+    d = np.outer(1.0 / w, w) / (x[:, None] - x + np.eye(n))
+    return x, d - np.diag(d.sum(axis=1))
 
-    def rhs(t, y):
-        gv = [g(t) for g in coefficients]
-        if not all(map(cmath.isfinite, gv)):
-            bad = next(k for k, v in enumerate(gv) if not cmath.isfinite(v))
-            raise SingularityError(
-                f"coefficient of member {start + bad} is not finite at t = {t!r}")
-        w = y.reshape(-1, 2, 2)  # (member, solution, (w, w'))
-        dw = np.empty_like(w)
-        dw[..., 0] = w[..., 1]
-        dw[..., 1] = drift * w[..., 1] + np.array(gv)[:, None] * w[..., 0]
-        return dw.ravel()
 
-    n = len(coefficients)
-    # A diverging integration overflows inside the DOP853 step; sol.success
-    # reports that failure, so numpy's warnings about it are not raised.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (t0, t_eval[-1]), np.tile([1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j], n),
-                        t_eval=t_eval, rtol=1e-10, atol=1e-12, method="DOP853")
-    if sol.success:
-        return list(np.maximum(np.abs(sol.y[0::2]), 1e-300).reshape(n, 2, -1))
-    if n == 1:
-        return [sol.message]
-    return [m for k, g in enumerate(coefficients)
-            for m in _fundamental_magnitudes([g], t0, t_eval, drift, start + k)]
+@functools.cache
+def _resample():
+    """Interpolation from the coarse to the fine nodes of ``NODE_COUNTS``."""
+    (coarse, _), (fine, _) = map(_lobatto, NODE_COUNTS)
+    vander = np.polynomial.chebyshev.chebvander
+    return vander(fine, len(coarse) - 1) @ np.linalg.inv(vander(coarse, len(coarse) - 1))
+
+
+def _collocate(g, grid, drift, n, member):
+    """(intervals, 2, n, 2) values of y = (w, w') at the n Chebyshev-Lobatto
+    nodes of each interval between grid points, for w'' = drift w' + g w with
+    y = (1, 0) and y = (0, 1) at the interval's start, all intervals in one
+    batched solve.  Collocation asks w' = D w and D w' = g w + drift w' at
+    every node but the start, whose rows hold the initial conditions; with
+    D's start row zeroed, w' = D w + w'(start) e_0, which leaves n equations
+    in w."""
+    x, d = _lobatto(n)
+    half = 0.5 * np.diff(grid)[:, None]
+    t = grid[:-1, None] + half * (x + 1.0)
+    gv = g(t)
+    bad = ~np.isfinite(gv)
+    if bad.any():
+        raise SingularityError(
+            f"coefficient of member {member} is not finite at t = {float(t[bad][0])!r}")
+    d = d / half[:, :, None]
+    d[:, 0] = 0.0
+    a = d @ d - drift * d - gv[:, :, None] * np.eye(n)
+    a[:, 0, 0] = 1.0
+    rhs = np.zeros((len(t), n, 2))
+    rhs[:, 0, 0] = 1.0
+    rhs[:, :, 1] = -d[:, :, 0]
+    w = np.linalg.solve(a, rhs)
+    dw = d @ w
+    dw[:, 0, 1] = 1.0
+    return np.stack([w, dw], axis=1)
+
+
+def _fundamental_magnitudes(g, grid, drift, member):
+    """(2, len(grid)) |w| on ``grid`` of the solutions of w'' = drift w' + g(t) w
+    with w = 1, w' = 0 and w = 0, w' = 1 at grid[0], from the chained transfer
+    matrices of the intervals between grid points.  The intervals are
+    collocated at both ``NODE_COUNTS``; when the coarse solution, interpolated
+    to the fine nodes, misses the fine one by more than ``COLLOCATION_TOL`` of
+    its size on some interval, or the magnitudes are not finite, the reason is
+    returned instead.  A coefficient that is not finite raises SingularityError."""
+    with np.errstate(all="ignore"):
+        coarse, fine = (_collocate(g, grid, drift, n, member) for n in NODE_COUNTS)
+        ys = [np.eye(2)]
+        for step in fine[:, :, -1]:
+            ys.append(step @ ys[-1])
+        mags = np.abs(np.array(ys)[:, 0].T)
+        size = np.max(np.abs(fine), axis=(1, 2, 3))
+        gap = np.max(np.max(np.abs(_resample() @ coarse - fine), axis=(1, 2, 3)) / size)
+    if not np.all(np.isfinite(mags)):
+        return "|w| is not finite"
+    if not gap <= COLLOCATION_TOL:
+        return f"collocations at {NODE_COUNTS[0]} and {NODE_COUNTS[1]} nodes differ by {gap:.1e}"
+    return np.maximum(mags, 1e-300)
 
 
 def _from_exponents(endpoint, slopes, resids, windows):
@@ -365,8 +388,9 @@ def classify_by_solving(problems, endpoint):
     w'' = (q - lambda) w, where a nonreal lambda forces exponential growth of
     the dominant solution (limit point).
 
-    The problems must share one length scale (else ValidationError): they are
-    integrated as one system, so step control is the RMS over the batch.
+    The problems must share one length scale (else ValidationError), which
+    sets the sample points.  Each problem is solved on its own, so its
+    classification does not depend on the rest of the batch.
     """
     problems = list(problems)
     if not problems:
@@ -374,31 +398,28 @@ def classify_by_solving(problems, endpoint):
     scales = sorted({p.length_scale() for p in problems})
     if len(scales) > 1:
         raise ValidationError(f"a batch needs one length scale, got {scales}")
+    # the collocation grid from t0, which ends in the sample points
     if math.isinf(endpoint):
         t0 = 10.0 * scales[0]
-        ts = np.linspace(t0, t0 + 30.0, 16)
+        grid, samples = np.linspace(t0, t0 + 30.0, 16), 16
         drift, fit = 0.0, 8
     else:
-        t0 = math.log(0.1 * scales[0])
-        ts = t0 - math.log(2.0) * np.arange(4, 15)
+        grid, samples = math.log(0.1 * scales[0]) - math.log(2.0) * np.arange(15), 11
         drift, fit = 1.0, 5
-    results = _fundamental_magnitudes([_coefficient(p, endpoint) for p in problems],
-                                      t0, ts, drift)
-
-    solved = [m for m in results if not isinstance(m, str)]
-    if solved:
-        # both exponents of every solved member, as the columns of one fit
-        logs = np.log(np.concatenate(solved)[:, -fit:]).T
-        coef = np.polyfit(ts[-fit:], logs, 1)
-        resid = np.max(np.abs(logs - np.polyval(coef, ts[-fit:, None])), axis=0)
-        fits = zip(coef[0].reshape(-1, 2).tolist(), resid.reshape(-1, 2).tolist())
-    return [
-        EndpointClassification(
-            endpoint=endpoint, kind=INCONCLUSIVE, c=None, s_minus=None, s_plus=None,
-            method="solve", diagnostics={"reason": f"integration failed: {m}"},
-        ) if isinstance(m, str) else _from_exponents(endpoint, *next(fits), len(ts))
-        for m in results
-    ]
+    results = []
+    for k, p in enumerate(problems):
+        mags = _fundamental_magnitudes(_coefficient(p, endpoint), grid, drift, k)
+        if isinstance(mags, str):
+            results.append(EndpointClassification(
+                endpoint=endpoint, kind=INCONCLUSIVE, c=None, s_minus=None, s_plus=None,
+                method="solve", diagnostics={"reason": f"integration failed: {mags}"}))
+            continue
+        # both exponents, as the columns of one fit
+        logs = np.log(mags[:, -fit:]).T
+        coef = np.polyfit(grid[-fit:], logs, 1)
+        resid = np.max(np.abs(logs - np.polyval(coef, grid[-fit:, None])), axis=0)
+        results.append(_from_exponents(endpoint, coef[0].tolist(), resid.tolist(), samples))
+    return results
 
 
 def solver_selftest():

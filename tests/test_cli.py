@@ -143,16 +143,17 @@ def test_sweep_alpha_flip_and_bisect(tmp_path):
 
 
 RADIAL_CSV_HEADER = "endpoint,kind,c,s_minus,s_plus\n"
-# The solve rows as written since the problems that share an endpoint are
-# integrated as one system.  The parametrized rows, written by one solve per
-# problem, stay below as an oracle at rel 1e-9.
+# The solve rows as written since the solve method collocates on Chebyshev
+# nodes (c moved by 3.6e-11 and 3.4e-11 relative from the DOP853 rows of one
+# batched integration).  The parametrized rows, written by one DOP853 solve
+# per problem, stay below as an oracle at rel 1e-9.
 RADIAL_CSV_REPINNED = {
     "0,LimitCircle,0.50000344621109138,-0.36602739345305435,1.3660273934530545\n"
     "inf,LimitPoint,,,\n":
-    "0,LimitCircle,0.50000344621109116,-0.36602739345305424,1.3660273934530542\n"
+    "0,LimitCircle,0.50000344619289383,-0.36602739344254798,1.366027393442548\n"
     "inf,LimitPoint,,,\n",
     "1,LimitCircle,0.24997522692703877,-0.20708926376168291,1.207089263761683\n":
-    "1,LimitCircle,0.24997522692513824,-0.20708926376033898,1.207089263760339\n",
+    "1,LimitCircle,0.24997522693370239,-0.20708926376639492,1.2070892637663948\n",
 }
 
 
@@ -622,7 +623,12 @@ TORUS = {"kind": "solid_torus3d", "major_radius": 2.0, "minor_radius": 1.0}
     ({"schema": 1, "task": "hur-probe", "params": {"deltas": [0.2]},
       "field": {"kind": "disk_counterexample", "alpha": 0.5}, "domain": DISK},
      ["scipy.optimize"]),
-], ids=["torus-scan", "disk-probe"])
+    ({"schema": 1, "task": "sweep-alpha",
+      "params": {"range": [0.5, 1.2], "step": 0.1, "method": "solve", "bisect": True}},
+     ["scipy.integrate", "scipy.optimize"]),
+    ({"schema": 1, "task": "monopole-verdict", "params": {"charges": [1, 2, 3, 4]}},
+     ["scipy.integrate", "scipy.optimize"]),
+], ids=["torus-scan", "disk-probe", "sweep-solve", "monopole-verdict"])
 def test_run_leaves_unused_scipy_subpackages_unloaded(tmp_path, spec, absent):
     import subprocess
     import sys

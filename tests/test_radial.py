@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -26,6 +27,9 @@ from confinement_lab.radial import (
 )
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
+# The reason of a member the two collocations disagree on.
+UNRESOLVED = re.compile(
+    r"integration failed: collocations at 16 and 24 nodes differ by \d\.\de[+-]\d\d")
 
 
 def synthetic_problem(c):
@@ -45,11 +49,6 @@ def pole_problem():
         decisive_endpoints=(0.0,),
         provenance={"reduction": "synthetic"},
     )
-
-
-def rates(cls):
-    """The two fitted exponents, or growth rates at an infinite endpoint."""
-    return cls.diagnostics["exponents" if math.isfinite(cls.endpoint) else "growth_rates"]
 
 
 disk_batches = st.lists(st.floats(0.3, 1.2, exclude_min=True, exclude_max=True),
@@ -133,8 +132,7 @@ class TestReductions:
     @example(reduce_monopole(-3).q, [1e-170])     # r * r underflows to 0
     @example(radial._inverse_square(0.0), [0.0])
     def test_scalar_potential_matches_array_bit_for_bit(self, q, rs):
-        # The ODE right-hand side calls q with a float once per member and
-        # stage; the indicial method calls it with arrays.
+        # Both methods call q with arrays; a float must give the same bits.
         for r in rs:
             array_bits, array_warned = evaluated(lambda x: q(x)[0], np.array([r]))
             for scalar in (r, np.float64(r)):
@@ -287,43 +285,55 @@ class TestSolving:
         problems, endpoint = batch
         together = classify_by_solving(problems, endpoint)
         alone = [classify_by_solving([p], endpoint)[0] for p in problems]
-        assert [c.kind for c in together] == [c.kind for c in alone]
-        for got, want in zip(together, alone):
-            assert rates(got) == pytest.approx(rates(want), rel=1e-9, abs=0.0)
-        # Step control is the RMS over the batch, so the member order enters
-        # only through the rounding of that sum (up to 4.4e-12 seen).
-        reversed_ = classify_by_solving(problems[::-1], endpoint)[::-1]
-        for got, want in zip(reversed_, together):
-            assert rates(got) == pytest.approx(rates(want), rel=1e-11, abs=0.0)
+        # Each member is solved on its own: its batch mates and their order
+        # cannot move a bit.
+        assert together == alone
+        assert classify_by_solving(problems[::-1], endpoint)[::-1] == together
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_member_alone_is_inconclusive(self):
         pole, other = classify_by_solving([pole_problem(), synthetic_problem(0.3)], 0.0)
         assert pole.kind == INCONCLUSIVE
-        assert pole.diagnostics == {"reason": "integration failed: Required step size "
-                                              "is less than spacing between numbers."}
+        assert UNRESOLVED.fullmatch(pole.diagnostics["reason"])
+        assert list(pole.diagnostics) == ["reason"]
         assert other == classify_by_solving([synthetic_problem(0.3)], 0.0)[0]
 
-    def test_failed_batch_fails_once_more_per_failing_member(self, monkeypatch):
-        import scipy.integrate
-
-        solve_ivp, failed = scipy.integrate.solve_ivp, []
-
-        def spy(fun, t_span, y0, **kwargs):
-            sol = solve_ivp(fun, t_span, y0, **kwargs)
-            if not sol.success:
-                failed.append(len(y0) // 4)
-            return sol
-
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", spy)
+    def test_failing_member_leaves_batch_mates_untouched(self):
         others = [synthetic_problem(c) for c in (0.3, 0.5, 2.0)]
+        calls = [counted(p) for p in others]
+        alone = [classify_by_solving([p], 0.0)[0] for p in others]
+        alone_calls = [len(c) for c in calls]
         got = classify_by_solving([others[0], pole_problem(), *others[1:]], 0.0)
-        assert failed == [4, 1]  # the batch, then the pole alone
         assert got[1].kind == INCONCLUSIVE
-        assert [got[0], *got[2:]] == [classify_by_solving([p], 0.0)[0] for p in others]
+        assert [got[0], *got[2:]] == alone
+        # no second solve for the batch mates of a failure
+        assert [len(c) for c in calls] == [2 * n for n in alone_calls]
+
+    # The true solution of c = 1e4 grows like dist^-99.5 and overflows over
+    # the sample window; c = -300 oscillates too fast for the node counts.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e4, -300.0], ids=["overflowing", "unresolved"])
+    def test_unresolved_member_is_inconclusive(self, c):
+        bad, other = classify_by_solving([synthetic_problem(c), synthetic_problem(0.3)], 0.0)
+        assert bad.kind == INCONCLUSIVE
+        assert UNRESOLVED.fullmatch(bad.diagnostics["reason"])
+        assert other == classify_by_solving([synthetic_problem(0.3)], 0.0)[0]
+
+    @pytest.mark.parametrize("c", [1e15, 1e100, -1e10])
+    def test_stiff_member_is_inconclusive(self, c):
+        # Far past resolution both node counts reach the same stiff limit at
+        # the interval ends; their interiors still disagree.
+        cls = classify_by_solving([synthetic_problem(c)], 0.0)[0]
+        assert cls.kind == INCONCLUSIVE
+
+    def test_potential_called_with_arrays_once_per_node_count(self):
+        problem = reduce_disk_mode(0.9, 0)
+        calls = counted(problem)
+        classify_by_solving([problem], 1.0)
+        assert [np.shape(r) for r in calls] == [(14, n) for n in radial.NODE_COUNTS]
 
     def test_non_finite_potential_raises(self):
-        # A NaN error norm never lets the step-size control exit.
+        # A coefficient that is not finite at a node is an error, not a verdict.
         nan = RadialProblem(q=lambda r: np.asarray(r, float) * np.nan, interval=(0.0, 1.0),
                             decisive_endpoints=(0.0,), provenance={})
         with pytest.raises(SingularityError, match="member 1 is not finite at t = "):
