@@ -18,8 +18,8 @@ equation at a nonreal spectral parameter in the log coordinate t = ln(dist),
 
 whose solutions grow like e^{s t}; the dominant measured exponent is s_minus,
 and the endpoint is limit point iff s_minus <= -1/2 (then x^{s_minus} just
-fails to be square integrable).  The equation is solved by Chebyshev
-collocation between the sample points, at two node counts that must agree.
+fails to be square integrable).  It is solved by Chebyshev collocation at two
+node counts, on intervals between the sample points halved until the two agree.
 """
 
 import cmath
@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import RangeError, SingularityError, ValidationError
+from .errors import RangeError, SingularityError, SolverError, ValidationError
 from .spherical import ground_level
 
 LIMIT_CIRCLE = "LimitCircle"
@@ -44,10 +44,11 @@ EXPONENT_BAND = 0.02
 CRITICAL_COUPLING = 0.75
 # Spectral parameter of the solver method: nonreal, so the Weyl alternative applies.
 SPECTRAL_PARAMETER = 1j
-# Chebyshev-Lobatto node counts of the solver method, and the largest relative
-# gap between their two solutions that still counts as resolved.
+# Chebyshev-Lobatto node counts of the solver method, the largest relative gap of
+# their solutions that counts as resolved, and the halvings of an unresolved interval.
 NODE_COUNTS = (16, 24)
 COLLOCATION_TOL = 1e-9
+REFINEMENTS = 6
 
 
 @dataclass
@@ -219,13 +220,12 @@ def classify_indicial(problem: RadialProblem, endpoint):
     tail = np.abs(y[-4:])
     if np.abs(y[-1]) > 50.0 * max(1.0, np.abs(y[0])) and np.all(np.diff(tail) > 0):
         if y[-1] > 0:
-            s_m, s_p = None, None
             return EndpointClassification(
                 endpoint=endpoint,
                 kind=LIMIT_POINT,
                 c=math.inf,
-                s_minus=s_m,
-                s_plus=s_p,
+                s_minus=None,
+                s_plus=None,
                 method="indicial",
                 diagnostics={"reason": "coupling diverges to +infinity"},
             )
@@ -295,17 +295,15 @@ def _resample():
     return vander(fine, len(coarse) - 1) @ np.linalg.inv(vander(coarse, len(coarse) - 1))
 
 
-def _collocate(g, grid, drift, n, member):
+def _collocate(g, starts, ends, drift, n, member):
     """(intervals, 2, n, 2) values of y = (w, w') at the n Chebyshev-Lobatto
-    nodes of each interval between grid points, for w'' = drift w' + g w with
-    y = (1, 0) and y = (0, 1) at the interval's start, all intervals in one
-    batched solve.  Collocation asks w' = D w and D w' = g w + drift w' at
-    every node but the start, whose rows hold the initial conditions; with
-    D's start row zeroed, w' = D w + w'(start) e_0, which leaves n equations
-    in w."""
+    nodes of each interval [starts[i], ends[i]] for w'' = drift w' + g w, with
+    y = (1, 0) and y = (0, 1) at its start: w' = D w and D w' = g w + drift w'
+    at every node but the start, whose rows hold the initial conditions (with
+    D's start row zeroed, w' = D w + w'(start) e_0 leaves n equations in w)."""
     x, d = _lobatto(n)
-    half = 0.5 * np.diff(grid)[:, None]
-    t = grid[:-1, None] + half * (x + 1.0)
+    half = 0.5 * (ends - starts)[:, None]
+    t = starts[:, None] + half * (x + 1.0)
     gv = g(t)
     bad = ~np.isfinite(gv)
     if bad.any():
@@ -324,27 +322,24 @@ def _collocate(g, grid, drift, n, member):
     return np.stack([w, dw], axis=1)
 
 
-def _fundamental_magnitudes(g, grid, drift, member):
-    """(2, len(grid)) |w| on ``grid`` of the solutions of w'' = drift w' + g(t) w
-    with w = 1, w' = 0 and w = 0, w' = 1 at grid[0], from the chained transfer
-    matrices of the intervals between grid points.  The intervals are
-    collocated at both ``NODE_COUNTS``; when the coarse solution, interpolated
-    to the fine nodes, misses the fine one by more than ``COLLOCATION_TOL`` of
-    its size on some interval, or the magnitudes are not finite, the reason is
-    returned instead.  A coefficient that is not finite raises SingularityError."""
-    with np.errstate(all="ignore"):
-        coarse, fine = (_collocate(g, grid, drift, n, member) for n in NODE_COUNTS)
-        ys = [np.eye(2)]
-        for step in fine[:, :, -1]:
-            ys.append(step @ ys[-1])
-        mags = np.abs(np.array(ys)[:, 0].T)
-        size = np.max(np.abs(fine), axis=(1, 2, 3))
-        gap = np.max(np.max(np.abs(_resample() @ coarse - fine), axis=(1, 2, 3)) / size)
-    if not np.all(np.isfinite(mags)):
-        return "|w| is not finite"
-    if not gap <= COLLOCATION_TOL:
-        return f"collocations at {NODE_COUNTS[0]} and {NODE_COUNTS[1]} nodes differ by {gap:.1e}"
-    return np.maximum(mags, 1e-300)
+def _transfers(g, starts, ends, drift, member, depth):
+    """(intervals, 2, 2) transfer matrices of y = (w, w') over [starts[i], ends[i]]
+    at the fine ``NODE_COUNTS``; an interval the coarse count misses by more than
+    ``COLLOCATION_TOL`` is halved, at most ``depth`` times (else SolverError)."""
+    coarse, fine = (_collocate(g, starts, ends, drift, n, member) for n in NODE_COUNTS)
+    steps = fine[:, :, -1]
+    size = np.max(np.abs(fine), axis=(1, 2, 3))
+    gaps = np.max(np.abs(_resample() @ coarse - fine), axis=(1, 2, 3)) / size
+    bad = ~(gaps <= COLLOCATION_TOL)
+    if bad.any():
+        if not depth:
+            raise SolverError(f"collocations at {NODE_COUNTS[0]} and {NODE_COUNTS[1]} "
+                              f"nodes differ by {np.max(gaps[bad]):.1e}")
+        mids = 0.5 * (starts[bad] + ends[bad])
+        halves = _transfers(g, np.r_[starts[bad], mids], np.r_[mids, ends[bad]], drift,
+                            member, depth - 1)
+        steps[bad] = halves[len(mids):] @ halves[:len(mids)]
+    return steps
 
 
 def _from_exponents(endpoint, slopes, resids, windows):
@@ -388,9 +383,8 @@ def classify_by_solving(problems, endpoint):
     w'' = (q - lambda) w, where a nonreal lambda forces exponential growth of
     the dominant solution (limit point).
 
-    The problems must share one length scale (else ValidationError), which
-    sets the sample points.  Each problem is solved on its own, so its
-    classification does not depend on the rest of the batch.
+    The problems must share one length scale (else ValidationError); each is
+    solved on its own, so its batch mates cannot move its classification.
     """
     problems = list(problems)
     if not problems:
@@ -398,7 +392,6 @@ def classify_by_solving(problems, endpoint):
     scales = sorted({p.length_scale() for p in problems})
     if len(scales) > 1:
         raise ValidationError(f"a batch needs one length scale, got {scales}")
-    # the collocation grid from t0, which ends in the sample points
     if math.isinf(endpoint):
         t0 = 10.0 * scales[0]
         grid, samples = np.linspace(t0, t0 + 30.0, 16), 16
@@ -408,14 +401,22 @@ def classify_by_solving(problems, endpoint):
         drift, fit = 1.0, 5
     results = []
     for k, p in enumerate(problems):
-        mags = _fundamental_magnitudes(_coefficient(p, endpoint), grid, drift, k)
-        if isinstance(mags, str):
+        try:  # |w| of the solutions with (w, w') = (1, 0) and (0, 1) at grid[0]
+            with np.errstate(all="ignore"):
+                ys = [np.eye(2)]
+                for step in _transfers(_coefficient(p, endpoint), grid[:-1], grid[1:], drift,
+                                       k, REFINEMENTS):
+                    ys.append(step @ ys[-1])
+                mags = np.abs(np.array(ys)[:, 0])
+            if not np.all(np.isfinite(mags)):
+                raise SolverError("|w| is not finite")
+        except SolverError as err:
             results.append(EndpointClassification(
                 endpoint=endpoint, kind=INCONCLUSIVE, c=None, s_minus=None, s_plus=None,
-                method="solve", diagnostics={"reason": f"integration failed: {mags}"}))
+                method="solve", diagnostics={"reason": f"integration failed: {err}"}))
             continue
         # both exponents, as the columns of one fit
-        logs = np.log(mags[:, -fit:]).T
+        logs = np.log(np.maximum(mags[-fit:], 1e-300))
         coef = np.polyfit(grid[-fit:], logs, 1)
         resid = np.max(np.abs(logs - np.polyval(coef, grid[-fit:, None])), axis=0)
         results.append(_from_exponents(endpoint, coef[0].tolist(), resid.tolist(), samples))
@@ -515,12 +516,16 @@ def threshold_bisection(lo=0.5, hi=1.2, mode=0, method="solve", tol=1e-3):
 
     An inconclusive classification means the probe landed inside the method's
     resolution band around the transition, so the midpoint is returned as the
-    estimate at that point.
+    estimate there; a probe the solver could not integrate raises SolverError.
     """
     classify = _classifier(method)
 
     def kinds_at(*alphas):
-        return [cls.kind for cls in classify([reduce_disk_mode(a, mode) for a in alphas], 1.0)]
+        found = classify([reduce_disk_mode(a, mode) for a in alphas], 1.0)
+        for a, cls in zip(alphas, found):
+            if cls.kind == INCONCLUSIVE and "reason" in cls.diagnostics:
+                raise SolverError(f"alpha = {a!r}: {cls.diagnostics['reason']}")
+        return [cls.kind for cls in found]
 
     k_lo, k_hi = kinds_at(lo, hi)
     if k_lo == k_hi:

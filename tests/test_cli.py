@@ -142,6 +142,31 @@ def test_sweep_alpha_flip_and_bisect(tmp_path):
     assert abs(report["payload"]["threshold_estimate"] - 0.8660254) < 0.05
 
 
+def test_sweep_alpha_wide_range_bisects_to_the_transition(tmp_path):
+    spec = {
+        "schema": 1,
+        "task": "sweep-alpha",
+        "params": {"range": [0.5, 9.0], "step": 8.5, "method": "solve", "bisect": True},
+        "output": "sweep",
+    }
+    rc, outdir = run(tmp_path, spec)
+    assert rc == 0
+    report = json.loads((outdir / "sweep.report.json").read_text())
+    kinds = {row["alpha"]: row["kind"] for row in report["payload"]["rows"]}
+    assert kinds == {0.5: "LimitCircle", 9.0: "LimitPoint"}
+    assert abs(report["payload"]["threshold_estimate"] - 0.8660254) < 0.05
+
+
+def test_monopole_verdict_strong_charge_agrees(tmp_path):
+    spec = {"schema": 1, "task": "monopole-verdict", "params": {"charges": [2, 140]},
+            "output": "mono"}
+    rc, outdir = run(tmp_path, spec)
+    assert rc == 0
+    payload = json.loads((outdir / "mono.report.json").read_text())["payload"]
+    assert [row["solve"] for row in payload["rows"]] == [True, True]
+    assert payload["all_agree"] is True
+
+
 RADIAL_CSV_HEADER = "endpoint,kind,c,s_minus,s_plus\n"
 # The solve rows as written since the solve method collocates on Chebyshev
 # nodes (c moved by 3.6e-11 and 3.4e-11 relative from the DOP853 rows of one

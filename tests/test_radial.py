@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confinement_lab import radial
-from confinement_lab.errors import RangeError, SingularityError, ValidationError
+from confinement_lab.errors import RangeError, SingularityError, SolverError, ValidationError
 from confinement_lab.radial import (
     EXPONENT_BAND,
     INCONCLUSIVE,
@@ -310,14 +310,52 @@ class TestSolving:
         assert [len(c) for c in calls] == [2 * n for n in alone_calls]
 
     # The true solution of c = 1e4 grows like dist^-99.5 and overflows over
-    # the sample window; c = -300 oscillates too fast for the node counts.
+    # the sample window; c = -1e6 oscillates too fast for the node counts
+    # even on intervals halved REFINEMENTS times.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("c", [1e4, -300.0], ids=["overflowing", "unresolved"])
-    def test_unresolved_member_is_inconclusive(self, c):
+    @pytest.mark.parametrize("c, reason", [
+        (1e4, re.compile(r"integration failed: \|w\| is not finite")),
+        (-1e6, UNRESOLVED),
+    ], ids=["overflowing", "unresolved"])
+    def test_unresolved_member_is_inconclusive(self, c, reason):
         bad, other = classify_by_solving([synthetic_problem(c), synthetic_problem(0.3)], 0.0)
         assert bad.kind == INCONCLUSIVE
-        assert UNRESOLVED.fullmatch(bad.diagnostics["reason"])
+        assert reason.fullmatch(bad.diagnostics["reason"])
         assert other == classify_by_solving([synthetic_problem(0.3)], 0.0)[0]
+
+    # Strong couplings, which the node counts do not resolve on the sample
+    # intervals, are classified on halved intervals.
+    @pytest.mark.parametrize("problem, endpoint, kind, c", [
+        (synthetic_problem(70.0), 0.0, LIMIT_POINT, 70.0),
+        (synthetic_problem(5000.0), 0.0, LIMIT_POINT, 5000.0),
+        (synthetic_problem(-100.0), 0.0, LIMIT_CIRCLE, None),
+        (synthetic_problem(-1e4), 0.0, LIMIT_CIRCLE, None),
+        (reduce_disk_mode(9.0, 0), 1.0, LIMIT_POINT, None),
+        (reduce_disk_mode(70.0, 3), 1.0, LIMIT_POINT, None),
+        (reduce_monopole(140), 0.0, LIMIT_POINT, 70.0),
+    ], ids=["c70", "c5000", "c-100", "c-1e4", "alpha9", "alpha70", "charge140"])
+    def test_strong_coupling_is_classified(self, problem, endpoint, kind, c):
+        cls = classify_by_solving([problem], endpoint)[0]
+        assert cls.kind == kind
+        if c is not None:
+            assert cls.c == pytest.approx(c, rel=1e-9)
+
+    def test_halving_leaves_resolved_intervals_alone(self):
+        # w'' = w' + g w with constant g: the transfer matrix is exp(h A).
+        from scipy.linalg import expm
+
+        g = 100.0 - 1.0j
+        coefficient = lambda t: np.full(np.shape(t), g)  # noqa: E731
+        starts, ends = np.array([0.0, -0.2]), np.array([-0.2, -0.2 - math.log(2.0)])
+        steps = radial._transfers(coefficient, starts, ends, 1.0, 0, radial.REFINEMENTS)
+        # the short interval is resolved as it stands, the long one only halved
+        short = radial._transfers(coefficient, starts[:1], ends[:1], 1.0, 0, 0)
+        assert steps[0].tobytes() == short[0].tobytes()
+        with pytest.raises(SolverError, match="nodes differ by"):
+            radial._transfers(coefficient, starts[1:], ends[1:], 1.0, 0, 0)
+        for step, h in zip(steps, ends - starts):
+            exact = expm(h * np.array([[0.0, 1.0], [g, 1.0]]))
+            assert np.max(np.abs(step - exact)) <= 1e-9 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("c", [1e15, 1e100, -1e10])
     def test_stiff_member_is_inconclusive(self, c):
@@ -403,6 +441,16 @@ class TestSweepAndBisection:
     def test_bisection_solve_within_band(self):
         est = threshold_bisection(method="solve")
         assert abs(est - SQRT3_2) < 0.05
+
+    def test_bisection_solve_wide_bracket(self):
+        # The solve method classifies alpha = 9 (c = 81) on halved intervals.
+        est = threshold_bisection(lo=0.5, hi=9.0, method="solve")
+        assert abs(est - SQRT3_2) < 0.05
+
+    def test_bisection_unsolvable_end_raises(self):
+        # An end the solver cannot integrate says nothing about the transition.
+        with pytest.raises(SolverError, match=r"alpha = 1000\.0: integration failed"):
+            threshold_bisection(lo=0.5, hi=1000.0, method="solve")
 
     def test_bad_bracket_rejected(self):
         with pytest.raises(ValidationError):
