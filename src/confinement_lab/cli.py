@@ -267,7 +267,7 @@ def _r_classify_radial(ctx, seed):
         problem = reduce_disk_mode(ctx["alpha"], ctx["mode"])
     else:
         problem = reduce_monopole(ctx["charge"])
-    (verdict,) = esa_verdict_radial([problem], method=ctx["method"])
+    verdict = esa_verdict_radial(problem, method=ctx["method"])
     header = ["endpoint", "kind", "c", "s_minus", "s_plus"]
     rows = [[ep, cls.kind, cls.c, cls.s_minus, cls.s_plus]
             for ep, cls in sorted(verdict.endpoint_reports.items())]
@@ -300,7 +300,7 @@ def _r_monopole_verdict(ctx, seed):
     from .radial import esa_verdict_radial, reduce_monopole
 
     problems = [reduce_monopole(m) for m in ctx["charges"]]
-    esa = {method: [v.esa for v in esa_verdict_radial(problems, method=method)]
+    esa = {method: [esa_verdict_radial(p, method=method).esa for p in problems]
            for method in ("indicial", "solve")}
     rows = [{"charge": m, "indicial": indicial, "solve": solve, "agree": indicial == solve}
             for m, indicial, solve in zip(ctx["charges"], esa["indicial"], esa["solve"])]

@@ -295,7 +295,7 @@ def _resample():
     return vander(fine, len(coarse) - 1) @ np.linalg.inv(vander(coarse, len(coarse) - 1))
 
 
-def _collocate(g, starts, ends, drift, n, member):
+def _collocate(g, starts, ends, drift, n):
     """(intervals, 2, n, 2) values of y = (w, w') at the n Chebyshev-Lobatto
     nodes of each interval [starts[i], ends[i]] for w'' = drift w' + g w, with
     y = (1, 0) and y = (0, 1) at its start: w' = D w and D w' = g w + drift w'
@@ -307,8 +307,7 @@ def _collocate(g, starts, ends, drift, n, member):
     gv = g(t)
     bad = ~np.isfinite(gv)
     if bad.any():
-        raise SingularityError(
-            f"coefficient of member {member} is not finite at t = {float(t[bad][0])!r}")
+        raise SingularityError(f"coefficient is not finite at t = {float(t[bad][0])!r}")
     d = d / half[:, :, None]
     d[:, 0] = 0.0
     a = d @ d - drift * d - gv[:, :, None] * np.eye(n)
@@ -322,11 +321,11 @@ def _collocate(g, starts, ends, drift, n, member):
     return np.stack([w, dw], axis=1)
 
 
-def _transfers(g, starts, ends, drift, member, depth):
+def _transfers(g, starts, ends, drift, depth):
     """(intervals, 2, 2) transfer matrices of y = (w, w') over [starts[i], ends[i]]
     at the fine ``NODE_COUNTS``; an interval the coarse count misses by more than
     ``COLLOCATION_TOL`` is halved, at most ``depth`` times (else SolverError)."""
-    coarse, fine = (_collocate(g, starts, ends, drift, n, member) for n in NODE_COUNTS)
+    coarse, fine = (_collocate(g, starts, ends, drift, n) for n in NODE_COUNTS)
     steps = fine[:, :, -1]
     size = np.max(np.abs(fine), axis=(1, 2, 3))
     gaps = np.max(np.abs(_resample() @ coarse - fine), axis=(1, 2, 3)) / size
@@ -337,7 +336,7 @@ def _transfers(g, starts, ends, drift, member, depth):
                               f"nodes differ by {np.max(gaps[bad]):.1e}")
         mids = 0.5 * (starts[bad] + ends[bad])
         halves = _transfers(g, np.r_[starts[bad], mids], np.r_[mids, ends[bad]], drift,
-                            member, depth - 1)
+                            depth - 1)
         steps[bad] = halves[len(mids):] @ halves[:len(mids)]
     return steps
 
@@ -368,10 +367,9 @@ def _from_exponents(endpoint, slopes, resids, windows):
     )
 
 
-def classify_by_solving(problems, endpoint):
-    """Endpoint type of each problem from the growth exponent of its
-    solutions at the spectral parameter lambda = i (``SPECTRAL_PARAMETER``);
-    one classification per problem, in order.
+def classify_by_solving(problem: RadialProblem, endpoint):
+    """Endpoint type of ``problem`` from the growth exponent of its solutions
+    at the spectral parameter lambda = i (``SPECTRAL_PARAMETER``).
 
     Finite endpoints are integrated in the log coordinate t = ln(dist) from
     dist = 0.1 (scaled by the interval length), where
@@ -383,63 +381,50 @@ def classify_by_solving(problems, endpoint):
     w'' = (q - lambda) w, where a nonreal lambda forces exponential growth of
     the dominant solution (limit point).
 
-    The problems must share one length scale (else ValidationError); each is
-    solved on its own, so its batch mates cannot move its classification.
+    Below c = -1/4 the indicial roots are complex, |w| oscillates, and the
+    fitted exponent is no s_minus: the kind (limit circle) is right, but the
+    reported c, s_minus and s_plus mean nothing (c = -100 reports c = -0.056).
+    No cheap test on the fit tells the two regimes apart (measured on c/r^2):
+    its two exponents differ by 0.018 at c = -0.24 (real roots), but by 0.031
+    at c = -0.26 and 0.006 at c = -0.338 (complex roots), and its largest
+    residual passes about 0.0073 on both sides of c = -1/4.
     """
-    problems = list(problems)
-    if not problems:
-        return []
-    scales = sorted({p.length_scale() for p in problems})
-    if len(scales) > 1:
-        raise ValidationError(f"a batch needs one length scale, got {scales}")
+    scale = problem.length_scale()
     if math.isinf(endpoint):
-        t0 = 10.0 * scales[0]
-        grid, samples = np.linspace(t0, t0 + 30.0, 16), 16
+        grid, samples = np.linspace(10.0 * scale, 10.0 * scale + 30.0, 16), 16
         drift, fit = 0.0, 8
     else:
-        grid, samples = math.log(0.1 * scales[0]) - math.log(2.0) * np.arange(15), 11
+        grid, samples = math.log(0.1 * scale) - math.log(2.0) * np.arange(15), 11
         drift, fit = 1.0, 5
-    results = []
-    for k, p in enumerate(problems):
-        try:  # |w| of the solutions with (w, w') = (1, 0) and (0, 1) at grid[0]
-            with np.errstate(all="ignore"):
-                ys = [np.eye(2)]
-                for step in _transfers(_coefficient(p, endpoint), grid[:-1], grid[1:], drift,
-                                       k, REFINEMENTS):
-                    ys.append(step @ ys[-1])
-                mags = np.abs(np.array(ys)[:, 0])
-            if not np.all(np.isfinite(mags)):
-                raise SolverError("|w| is not finite")
-        except SolverError as err:
-            results.append(EndpointClassification(
-                endpoint=endpoint, kind=INCONCLUSIVE, c=None, s_minus=None, s_plus=None,
-                method="solve", diagnostics={"reason": f"integration failed: {err}"}))
-            continue
-        # both exponents, as the columns of one fit
-        logs = np.log(np.maximum(mags[-fit:], 1e-300))
-        coef = np.polyfit(grid[-fit:], logs, 1)
-        resid = np.max(np.abs(logs - np.polyval(coef, grid[-fit:, None])), axis=0)
-        results.append(_from_exponents(endpoint, coef[0].tolist(), resid.tolist(), samples))
-    return results
+    try:  # |w| of the solutions with (w, w') = (1, 0) and (0, 1) at grid[0]
+        with np.errstate(all="ignore"):
+            ys = [np.eye(2)]
+            for step in _transfers(_coefficient(problem, endpoint), grid[:-1], grid[1:], drift,
+                                   REFINEMENTS):
+                ys.append(step @ ys[-1])
+            mags = np.abs(np.array(ys)[:, 0])
+        if not np.all(np.isfinite(mags)):
+            raise SolverError("|w| is not finite")
+    except SolverError as err:
+        return EndpointClassification(
+            endpoint=endpoint, kind=INCONCLUSIVE, c=None, s_minus=None, s_plus=None,
+            method="solve", diagnostics={"reason": f"integration failed: {err}"})
+    # both exponents, as the columns of one fit
+    logs = np.log(np.maximum(mags[-fit:], 1e-300))
+    coef = np.polyfit(grid[-fit:], logs, 1)
+    resid = np.max(np.abs(logs - np.polyval(coef, grid[-fit:, None])), axis=0)
+    return _from_exponents(endpoint, coef[0].tolist(), resid.tolist(), samples)
 
 
 def solver_selftest():
     """Max |measured - exact| growth exponent over the pure c/x^2 potentials
     c = 0, 0.3, 0.74, 0.76 and 2, on both sides of the transition c = 3/4."""
-    couplings = (0.0, 0.3, 0.74, 0.76, 2.0)
-    problems = [
-        RadialProblem(
-            q=_inverse_square(c),
-            interval=(0.0, 1.0),
-            decisive_endpoints=(0.0,),
-            provenance={"reduction": "selftest"},
-        )
-        for c in couplings
-    ]
     worst = 0.0
-    for c, cls in zip(couplings, classify_by_solving(problems, 0.0)):
-        exact = (1.0 - math.sqrt(1.0 + 4.0 * c)) / 2.0
-        worst = max(worst, abs(min(cls.diagnostics["exponents"]) - exact))
+    for c in (0.0, 0.3, 0.74, 0.76, 2.0):
+        problem = RadialProblem(q=_inverse_square(c), interval=(0.0, 1.0),
+                                decisive_endpoints=(0.0,), provenance={"reduction": "selftest"})
+        exponents = classify_by_solving(problem, 0.0).diagnostics["exponents"]
+        worst = max(worst, abs(min(exponents) - (1.0 - math.sqrt(1.0 + 4.0 * c)) / 2.0))
     return worst
 
 
@@ -448,35 +433,22 @@ def solver_selftest():
 
 
 def _classifier(method):
-    """(problems, endpoint) -> one classification per problem."""
+    """The (problem, endpoint) classifier of ``method``, read from the module
+    at each call, so that a wrapped module attribute is the one called."""
     if method == "indicial":
-        return lambda problems, endpoint: [classify_indicial(p, endpoint) for p in problems]
+        return classify_indicial
     if method == "solve":
         return classify_by_solving
     raise ValidationError("method must be 'indicial' or 'solve'")
 
 
-def esa_verdict_radial(problems, method="indicial"):
-    """One EsaVerdict per problem: essential self-adjointness from the
-    decisive endpoints, ESA iff every one is limit point.  Coordinate-artifact
+def esa_verdict_radial(problem, method="indicial"):
+    """EsaVerdict of ``problem``: essential self-adjointness from its decisive
+    endpoints, ESA iff every one is limit point.  Coordinate-artifact
     endpoints are ignored; a caveat records that a mode verdict transfers to
-    the full operator through the mode decomposition.  The problems that share
-    an endpoint and a length scale are classified as one batch."""
+    the full operator through the mode decomposition."""
     classify = _classifier(method)
-    problems = list(problems)
-    batches = {}
-    for k, p in enumerate(problems):
-        for ep in p.decisive_endpoints:
-            batches.setdefault((ep, p.length_scale()), []).append(k)
-    found = {}
-    for (ep, _), members in batches.items():
-        for k, cls in zip(members, classify([problems[k] for k in members], ep)):
-            found[k, ep] = cls
-    return [_verdict(p, {ep: found[k, ep] for ep in p.decisive_endpoints})
-            for k, p in enumerate(problems)]
-
-
-def _verdict(problem, reports):
+    reports = {ep: classify(problem, ep) for ep in problem.decisive_endpoints}
     kinds = [r.kind for r in reports.values()]
     if any(k == INCONCLUSIVE for k in kinds):
         esa = None
@@ -500,34 +472,33 @@ def _verdict(problem, reports):
 
 def sweep_alpha(alphas, mode=0, method="indicial"):
     """Rows (alpha, c, s_minus, s_plus, kind) at the boundary endpoint r = 1."""
-    alphas = [float(alpha) for alpha in alphas]
-    found = _classifier(method)([reduce_disk_mode(alpha, mode) for alpha in alphas], 1.0)
-    return [
-        {"alpha": alpha, "c": cls.c, "s_minus": cls.s_minus, "s_plus": cls.s_plus,
-         "kind": cls.kind}
-        for alpha, cls in zip(alphas, found)
-    ]
+    classify = _classifier(method)
+    rows = []
+    for alpha in map(float, alphas):
+        cls = classify(reduce_disk_mode(alpha, mode), 1.0)
+        rows.append({"alpha": alpha, "c": cls.c, "s_minus": cls.s_minus, "s_plus": cls.s_plus,
+                     "kind": cls.kind})
+    return rows
 
 
 def threshold_bisection(lo=0.5, hi=1.2, mode=0, method="solve", tol=1e-3):
     """Bisect the alpha at which the boundary endpoint flips limit circle ->
     limit point (exact transition alpha = sqrt(3)/2), at most 60 halvings.
-    The bracket ends are classified as one batch.
 
-    An inconclusive classification means the probe landed inside the method's
-    resolution band around the transition, so the midpoint is returned as the
-    estimate there; a probe the solver could not integrate raises SolverError.
+    An inconclusive classification means the probe (a bracket end or a
+    midpoint) landed inside the method's resolution band around the
+    transition, so that probe is returned as the estimate; a probe the solver
+    could not integrate raises SolverError.
     """
     classify = _classifier(method)
 
-    def kinds_at(*alphas):
-        found = classify([reduce_disk_mode(a, mode) for a in alphas], 1.0)
-        for a, cls in zip(alphas, found):
-            if cls.kind == INCONCLUSIVE and "reason" in cls.diagnostics:
-                raise SolverError(f"alpha = {a!r}: {cls.diagnostics['reason']}")
-        return [cls.kind for cls in found]
+    def kind_at(a):
+        cls = classify(reduce_disk_mode(a, mode), 1.0)
+        if cls.kind == INCONCLUSIVE and "reason" in cls.diagnostics:
+            raise SolverError(f"alpha = {a!r}: {cls.diagnostics['reason']}")
+        return cls.kind
 
-    k_lo, k_hi = kinds_at(lo, hi)
+    k_lo, k_hi = kind_at(lo), kind_at(hi)
     if k_lo == k_hi:
         raise ValidationError(f"bracket [{lo}, {hi}] does not straddle the transition")
     if k_lo == INCONCLUSIVE:
@@ -538,7 +509,7 @@ def threshold_bisection(lo=0.5, hi=1.2, mode=0, method="solve", tol=1e-3):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol:
             return mid
-        (k_mid,) = kinds_at(mid)
+        k_mid = kind_at(mid)
         if k_mid == INCONCLUSIVE:
             return mid
         if k_mid == k_lo:

@@ -168,10 +168,10 @@ def test_monopole_verdict_strong_charge_agrees(tmp_path):
 
 
 RADIAL_CSV_HEADER = "endpoint,kind,c,s_minus,s_plus\n"
-# The solve rows as written since the solve method collocates on Chebyshev
-# nodes (c moved by 3.6e-11 and 3.4e-11 relative from the DOP853 rows of one
-# batched integration).  The parametrized rows, written by one DOP853 solve
-# per problem, stay below as an oracle at rel 1e-9.
+# The solve rows as the Chebyshev collocation writes them, keyed by the rows
+# the earlier DOP853 integration wrote (c differs by 3.6e-11 and 3.4e-11
+# relative).  The parametrized rows below are those DOP853 rows, kept as an
+# oracle at rel 1e-9.
 RADIAL_CSV_REPINNED = {
     "0,LimitCircle,0.50000344621109138,-0.36602739345305435,1.3660273934530545\n"
     "inf,LimitPoint,,,\n":

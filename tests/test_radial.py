@@ -27,7 +27,7 @@ from confinement_lab.radial import (
 )
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
-# The reason of a member the two collocations disagree on.
+# The reason of a problem the two collocations disagree on.
 UNRESOLVED = re.compile(
     r"integration failed: collocations at 16 and 24 nodes differ by \d\.\de[+-]\d\d")
 
@@ -49,15 +49,6 @@ def pole_problem():
         decisive_endpoints=(0.0,),
         provenance={"reduction": "synthetic"},
     )
-
-
-disk_batches = st.lists(st.floats(0.3, 1.2, exclude_min=True, exclude_max=True),
-                        min_size=1, max_size=5).map(
-    lambda alphas: ([reduce_disk_mode(a, 0) for a in alphas], 1.0))
-monopole_batches = st.tuples(
-    st.lists(st.sampled_from([m for m in range(-5, 6) if m]), min_size=1, max_size=5),
-    st.sampled_from([0.0, math.inf]),
-).map(lambda drawn: ([reduce_monopole(m) for m in drawn[0]], drawn[1]))
 
 
 potentials = st.one_of(
@@ -223,21 +214,21 @@ class TestSolving:
 
     def test_exponent_matches_indicial_root(self):
         for alpha, exact_c in ((0.5, 0.25), (1.0, 1.0)):
-            cls = classify_by_solving([reduce_disk_mode(alpha, 0)], 1.0)[0]
+            cls = classify_by_solving(reduce_disk_mode(alpha, 0), 1.0)
             exact = (1.0 - math.sqrt(1.0 + 4.0 * exact_c)) / 2.0
             assert min(cls.diagnostics["exponents"]) == pytest.approx(exact, abs=2e-3)
 
     def test_verdicts_match_indicial_away_from_threshold(self):
-        assert classify_by_solving([reduce_disk_mode(0.5, 0)], 1.0)[0].kind == LIMIT_CIRCLE
-        assert classify_by_solving([reduce_disk_mode(1.0, 0)], 1.0)[0].kind == LIMIT_POINT
+        assert classify_by_solving(reduce_disk_mode(0.5, 0), 1.0).kind == LIMIT_CIRCLE
+        assert classify_by_solving(reduce_disk_mode(1.0, 0), 1.0).kind == LIMIT_POINT
 
     def test_critical_coupling_is_inconclusive(self):
-        cls = classify_by_solving([synthetic_problem(0.75)], 0.0)[0]
+        cls = classify_by_solving(synthetic_problem(0.75), 0.0)
         assert cls.kind == INCONCLUSIVE
         assert abs(min(cls.diagnostics["exponents"]) + 0.5) < EXPONENT_BAND
 
     def test_infinite_endpoint_limit_point(self):
-        cls = classify_by_solving([reduce_monopole(2)], math.inf)[0]
+        cls = classify_by_solving(reduce_monopole(2), math.inf)
         assert cls.kind == LIMIT_POINT
         # nonreal spectral parameter forces growth Re sqrt(-i) = sqrt(2)/2
         assert max(cls.diagnostics["growth_rates"]) == pytest.approx(math.sqrt(2) / 2, abs=1e-2)
@@ -245,7 +236,7 @@ class TestSolving:
     def test_infinite_endpoint_fit_residuals(self):
         # The residual is the curvature of the WKB phase over the last 8
         # samples: Re sqrt(-i + c/r^2) = sqrt(2)/2 + c/(2 sqrt(2) r^2) + ...
-        cls = classify_by_solving([reduce_monopole(2)], math.inf)[0]
+        cls = classify_by_solving(reduce_monopole(2), math.inf)
         r = np.linspace(26.0, 40.0, 8)
         tail = -1.0 / (2.0 * math.sqrt(2.0) * r)
         curvature = np.max(np.abs(tail - np.polyval(np.polyfit(r, tail, 1), r)))
@@ -253,16 +244,15 @@ class TestSolving:
         assert len(resids) == 2 and all(math.isfinite(v) for v in resids)
         assert resids == pytest.approx([curvature, curvature], rel=0.01)
 
-    # ``problem`` is a batch; each member stays within the single-problem budget.
     @pytest.mark.parametrize("problem, endpoint, budget", [
-        ([reduce_disk_mode(0.9, 0)], 1.0, 600),
-        ([reduce_monopole(2)], math.inf, 2000),
-        ([reduce_disk_mode(0.9, 0), reduce_disk_mode(0.5, 0)], 1.0, 600),
+        (reduce_disk_mode(0.9, 0), 1.0, 600),
+        (reduce_monopole(2), math.inf, 2000),
+        (reduce_disk_mode(0.5, 0), 1.0, 600),
     ])
     def test_q_evaluations_per_classification(self, problem, endpoint, budget):
-        calls = [counted(p) for p in problem]
+        calls = counted(problem)
         classify_by_solving(problem, endpoint)
-        assert max(len(c) for c in calls) <= budget
+        assert len(calls) <= budget
 
     # Recorded with an independent integration (RK45, one solve per initial
     # condition, same tolerances and windows).
@@ -276,38 +266,15 @@ class TestSolving:
          [0.7074424761164978, 0.7074424761071467]),
     ])
     def test_exponents_pinned(self, problem, endpoint, key, expected):
-        cls = classify_by_solving([problem], endpoint)[0]
+        cls = classify_by_solving(problem, endpoint)
         assert cls.diagnostics[key] == pytest.approx(expected, rel=1e-9, abs=0.0)
-
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(st.one_of(disk_batches, monopole_batches))
-    def test_batch_matches_one_at_a_time(self, batch):
-        problems, endpoint = batch
-        together = classify_by_solving(problems, endpoint)
-        alone = [classify_by_solving([p], endpoint)[0] for p in problems]
-        # Each member is solved on its own: its batch mates and their order
-        # cannot move a bit.
-        assert together == alone
-        assert classify_by_solving(problems[::-1], endpoint)[::-1] == together
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_member_alone_is_inconclusive(self):
-        pole, other = classify_by_solving([pole_problem(), synthetic_problem(0.3)], 0.0)
+        pole = classify_by_solving(pole_problem(), 0.0)
         assert pole.kind == INCONCLUSIVE
         assert UNRESOLVED.fullmatch(pole.diagnostics["reason"])
         assert list(pole.diagnostics) == ["reason"]
-        assert other == classify_by_solving([synthetic_problem(0.3)], 0.0)[0]
-
-    def test_failing_member_leaves_batch_mates_untouched(self):
-        others = [synthetic_problem(c) for c in (0.3, 0.5, 2.0)]
-        calls = [counted(p) for p in others]
-        alone = [classify_by_solving([p], 0.0)[0] for p in others]
-        alone_calls = [len(c) for c in calls]
-        got = classify_by_solving([others[0], pole_problem(), *others[1:]], 0.0)
-        assert got[1].kind == INCONCLUSIVE
-        assert [got[0], *got[2:]] == alone
-        # no second solve for the batch mates of a failure
-        assert [len(c) for c in calls] == [2 * n for n in alone_calls]
 
     # The true solution of c = 1e4 grows like dist^-99.5 and overflows over
     # the sample window; c = -1e6 oscillates too fast for the node counts
@@ -318,10 +285,9 @@ class TestSolving:
         (-1e6, UNRESOLVED),
     ], ids=["overflowing", "unresolved"])
     def test_unresolved_member_is_inconclusive(self, c, reason):
-        bad, other = classify_by_solving([synthetic_problem(c), synthetic_problem(0.3)], 0.0)
+        bad = classify_by_solving(synthetic_problem(c), 0.0)
         assert bad.kind == INCONCLUSIVE
         assert reason.fullmatch(bad.diagnostics["reason"])
-        assert other == classify_by_solving([synthetic_problem(0.3)], 0.0)[0]
 
     # Strong couplings, which the node counts do not resolve on the sample
     # intervals, are classified on halved intervals.
@@ -335,7 +301,7 @@ class TestSolving:
         (reduce_monopole(140), 0.0, LIMIT_POINT, 70.0),
     ], ids=["c70", "c5000", "c-100", "c-1e4", "alpha9", "alpha70", "charge140"])
     def test_strong_coupling_is_classified(self, problem, endpoint, kind, c):
-        cls = classify_by_solving([problem], endpoint)[0]
+        cls = classify_by_solving(problem, endpoint)
         assert cls.kind == kind
         if c is not None:
             assert cls.c == pytest.approx(c, rel=1e-9)
@@ -347,12 +313,12 @@ class TestSolving:
         g = 100.0 - 1.0j
         coefficient = lambda t: np.full(np.shape(t), g)  # noqa: E731
         starts, ends = np.array([0.0, -0.2]), np.array([-0.2, -0.2 - math.log(2.0)])
-        steps = radial._transfers(coefficient, starts, ends, 1.0, 0, radial.REFINEMENTS)
+        steps = radial._transfers(coefficient, starts, ends, 1.0, radial.REFINEMENTS)
         # the short interval is resolved as it stands, the long one only halved
-        short = radial._transfers(coefficient, starts[:1], ends[:1], 1.0, 0, 0)
+        short = radial._transfers(coefficient, starts[:1], ends[:1], 1.0, 0)
         assert steps[0].tobytes() == short[0].tobytes()
         with pytest.raises(SolverError, match="nodes differ by"):
-            radial._transfers(coefficient, starts[1:], ends[1:], 1.0, 0, 0)
+            radial._transfers(coefficient, starts[1:], ends[1:], 1.0, 0)
         for step, h in zip(steps, ends - starts):
             exact = expm(h * np.array([[0.0, 1.0], [g, 1.0]]))
             assert np.max(np.abs(step - exact)) <= 1e-9 * np.max(np.abs(exact))
@@ -361,69 +327,57 @@ class TestSolving:
     def test_stiff_member_is_inconclusive(self, c):
         # Far past resolution both node counts reach the same stiff limit at
         # the interval ends; their interiors still disagree.
-        cls = classify_by_solving([synthetic_problem(c)], 0.0)[0]
+        cls = classify_by_solving(synthetic_problem(c), 0.0)
         assert cls.kind == INCONCLUSIVE
 
     def test_potential_called_with_arrays_once_per_node_count(self):
         problem = reduce_disk_mode(0.9, 0)
         calls = counted(problem)
-        classify_by_solving([problem], 1.0)
+        classify_by_solving(problem, 1.0)
         assert [np.shape(r) for r in calls] == [(14, n) for n in radial.NODE_COUNTS]
 
     def test_non_finite_potential_raises(self):
         # A coefficient that is not finite at a node is an error, not a verdict.
         nan = RadialProblem(q=lambda r: np.asarray(r, float) * np.nan, interval=(0.0, 1.0),
                             decisive_endpoints=(0.0,), provenance={})
-        with pytest.raises(SingularityError, match="member 1 is not finite at t = "):
-            classify_by_solving([synthetic_problem(0.3), nan], 0.0)
-
-    def test_batch_needs_one_length_scale(self):
-        short = RadialProblem(q=lambda r: np.zeros_like(np.asarray(r, float)),
-                              interval=(0.0, 0.5), decisive_endpoints=(0.0,), provenance={})
-        with pytest.raises(ValidationError):
-            classify_by_solving([synthetic_problem(0.3), short], 0.0)
-
-    def test_empty_batch(self):
-        assert classify_by_solving([], 0.0) == []
+        with pytest.raises(SingularityError, match="^coefficient is not finite at t = "):
+            classify_by_solving(nan, 0.0)
 
     def test_oscillatory_subcritical_is_limit_circle(self):
         # c < -1/4 gives complex indicial roots with real part 1/2: limit circle
-        cls = classify_by_solving([synthetic_problem(-1.0)], 0.0)[0]
+        cls = classify_by_solving(synthetic_problem(-1.0), 0.0)
         assert cls.kind == LIMIT_CIRCLE
 
 
 class TestVerdicts:
     def test_monopole_esa_iff_two_flux_quanta(self):
-        assert esa_verdict_radial([reduce_monopole(2)])[0].esa is True
-        assert esa_verdict_radial([reduce_monopole(-2)])[0].esa is True
-        assert esa_verdict_radial([reduce_monopole(1)])[0].esa is False
-        assert esa_verdict_radial([reduce_monopole(-1)])[0].esa is False
-        assert esa_verdict_radial([reduce_monopole(0)])[0].esa is False
+        assert esa_verdict_radial(reduce_monopole(2)).esa is True
+        assert esa_verdict_radial(reduce_monopole(-2)).esa is True
+        assert esa_verdict_radial(reduce_monopole(1)).esa is False
+        assert esa_verdict_radial(reduce_monopole(-1)).esa is False
+        assert esa_verdict_radial(reduce_monopole(0)).esa is False
 
     def test_disk_esa_flips_at_critical_alpha(self):
-        below = esa_verdict_radial([reduce_disk_mode(0.5, 0)])[0]
+        below = esa_verdict_radial(reduce_disk_mode(0.5, 0))
         assert below.esa is False
         assert any("mode decomposition" in c for c in below.caveats)
-        above = esa_verdict_radial([reduce_disk_mode(1.0, 0)])[0]
+        above = esa_verdict_radial(reduce_disk_mode(1.0, 0))
         assert above.esa is True
 
     def test_inconclusive_exact_threshold(self):
-        verdict = esa_verdict_radial([reduce_disk_mode(SQRT3_2, 0)])[0]
+        verdict = esa_verdict_radial(reduce_disk_mode(SQRT3_2, 0))
         assert verdict.esa is None
 
     def test_batch_keeps_order_and_endpoints(self):
         problems = [reduce_monopole(1), reduce_disk_mode(0.5, 0), reduce_monopole(2)]
-        verdicts = esa_verdict_radial(problems, method="solve")
+        verdicts = [esa_verdict_radial(p, method="solve") for p in problems]
         assert [v.esa for v in verdicts] == [False, False, True]
         assert [list(v.endpoint_reports) for v in verdicts] == [[0.0, math.inf], [1.0],
                                                                  [0.0, math.inf]]
-        # the two monopoles, and only they, form the batch at the origin
-        assert verdicts[2].endpoint_reports[0.0] == classify_by_solving(
-            [reduce_monopole(1), reduce_monopole(2)], 0.0)[1]
 
     def test_solve_method_agrees(self):
-        assert esa_verdict_radial([reduce_monopole(2)], method="solve")[0].esa is True
-        assert esa_verdict_radial([reduce_disk_mode(0.5, 0)], method="solve")[0].esa is False
+        assert esa_verdict_radial(reduce_monopole(2), method="solve").esa is True
+        assert esa_verdict_radial(reduce_disk_mode(0.5, 0), method="solve").esa is False
 
 
 class TestSweepAndBisection:
@@ -455,3 +409,57 @@ class TestSweepAndBisection:
     def test_bad_bracket_rejected(self):
         with pytest.raises(ValidationError):
             threshold_bisection(lo=0.9, hi=1.2, method="indicial")
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """Wrap both classifiers in the module, as ``bench/tracer.py`` does; the
+    returned list grows by (classifier, problem, endpoint) per call."""
+    calls = []
+    for name in ("classify_by_solving", "classify_indicial"):
+        def wrapper(problem, endpoint, _name=name, _original=getattr(radial, name)):
+            calls.append((_name, problem, endpoint))
+            return _original(problem, endpoint)
+        monkeypatch.setattr(radial, name, wrapper)
+    return calls
+
+
+@pytest.fixture
+def made_modes(monkeypatch):
+    """Record every disk mode ``radial`` reduces."""
+    made = []
+    reduce = radial.reduce_disk_mode
+    monkeypatch.setattr(radial, "reduce_disk_mode",
+                        lambda alpha, mode: made.append(reduce(alpha, mode)) or made[-1])
+    return made
+
+
+CLASSIFIERS = {"indicial": "classify_indicial", "solve": "classify_by_solving"}
+
+
+class TestClassifierLookup:
+    """Every classification goes through the module's classifier attributes,
+    looked up at call time, once per (problem, endpoint): a wrapper installed
+    on them sees every call."""
+
+    @pytest.mark.parametrize("method", ["indicial", "solve"])
+    def test_verdict_classifies_each_decisive_endpoint_once(self, classify_calls, method):
+        for problem in (reduce_monopole(2), reduce_disk_mode(0.5, 0)):
+            classify_calls.clear()
+            verdict = esa_verdict_radial(problem, method=method)
+            assert [(name, ep) for name, _, ep in classify_calls] == [
+                (CLASSIFIERS[method], ep) for ep in problem.decisive_endpoints]
+            assert all(p is problem for _, p, _ in classify_calls)
+            assert list(verdict.endpoint_reports) == list(problem.decisive_endpoints)
+
+    @pytest.mark.parametrize("method", ["indicial", "solve"])
+    def test_sweep_classifies_each_alpha_once(self, classify_calls, made_modes, method):
+        rows = sweep_alpha([0.5, 0.9, 1.2], method=method)
+        assert classify_calls == [(CLASSIFIERS[method], p, 1.0) for p in made_modes]
+        assert [p.provenance["alpha"] for p in made_modes] == [r["alpha"] for r in rows]
+
+    @pytest.mark.parametrize("method", ["indicial", "solve"])
+    def test_bisection_classifies_each_probe_once(self, classify_calls, made_modes, method):
+        threshold_bisection(method=method)
+        assert len(made_modes) > 2
+        assert classify_calls == [(CLASSIFIERS[method], p, 1.0) for p in made_modes]
