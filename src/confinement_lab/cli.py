@@ -751,11 +751,8 @@ def _load_thresholds(arg):
 
 def _reproduce(thresholds_arg):
     thresholds = _load_thresholds(thresholds_arg)
-    # Import the numeric layers, and the scipy subpackage that they import
-    # on first use, before the first timer, so that no check's printed time
-    # includes module import.
-    import scipy.optimize  # noqa: F401
-
+    # Import the numeric layers before the first timer, so that no check's
+    # printed time includes module import.
     from . import criterion, domains, fields, lattice, radial, spherical  # noqa: F401
 
     failures = []

@@ -19,6 +19,7 @@ computed by nested central differences with one Richardson extrapolation.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,15 +31,6 @@ from .exterior import TwoForm, axial_matrices
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 _DENOM_TINY = 1e-14
-
-
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported at the first call: only the
-    boundary-zero refinement needs scipy.optimize, and its import takes
-    longer than most scans."""
-    import scipy.optimize
-
-    return scipy.optimize.minimize(*args, **kwargs)
 
 
 @dataclass
@@ -639,13 +631,11 @@ def _turns(t, normals, tails, heads):
 
 
 class _ChartGaussNewton:
-    """Gauss-Newton model of (1/2)|F(u)|^2 on a boundary chart.
+    """Residual F(u) = (e1.t, e2.t) of a boundary chart and its Jacobian.
 
-    F(u) = (e1.t, e2.t), with t the tangential part of the one-form a0 at
-    chart(u), the surface point nearest p0 + u[0] e1 + u[1] e2, and (e1, e2)
-    the chart frame at p0.  The gradient is J^T F and the Hessian model
-    J^T J, with J a forward difference; F and J are computed once per point
-    and shared by the objective and the Hessian.
+    t is the tangential part of the one-form a0 at chart(u), the surface
+    point nearest p0 + u[0] e1 + u[1] e2, and (e1, e2) the chart frame at
+    p0.  J is a forward difference; ``minimize`` drives F to zero.
     """
 
     step = 1e-7
@@ -655,7 +645,6 @@ class _ChartGaussNewton:
         self.surface = surface
         self.p0 = p0
         self.frame = np.array(frame)
-        self._u = None
 
     def chart(self, u):
         e1, e2 = self.frame
@@ -664,20 +653,33 @@ class _ChartGaussNewton:
     def residual(self, u):
         return self.frame @ _tangential_part(self.a0, self.surface, self.chart(u))
 
-    def _terms(self, u):
-        if self._u is None or not np.array_equal(u, self._u):
-            f = self.residual(u)
-            cols = [(self.residual(u + d) - f) / self.step for d in self.step * np.eye(2)]
-            self._u, self._f, self._jac = np.array(u), f, np.column_stack(cols)
-        return self._f, self._jac
+    def terms(self, u):
+        f = self.residual(u)
+        cols = [(self.residual(u + d) - f) / self.step for d in self.step * np.eye(2)]
+        return f, np.column_stack(cols)
 
-    def objective(self, u):
-        f, jac = self._terms(u)
-        return 0.5 * float(f @ f), jac.T @ f
 
-    def hessian(self, u):
-        _, jac = self._terms(u)
-        return jac.T @ jac
+def minimize(gn, x0, radius):
+    """Gauss-Newton on the chart residual F of gn from x0: each step solves
+    J s = -F, is capped at length radius and halved while |F| does not fall.
+    Stops when F is exactly 0, when J is singular, when no halving longer
+    than 1e-12 radius lowers |F|, or after 100 evaluations of F and J."""
+    x, (f, jac), nfev = x0, gn.terms(x0), 1
+    while f.any() and nfev < 100:
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            break
+        step *= min(1.0, radius / np.linalg.norm(step))
+        while np.linalg.norm(step) > 1e-12 * radius and nfev < 100:
+            (f_new, jac_new), nfev = gn.terms(x + step), nfev + 1
+            if f_new @ f_new < f @ f:
+                break
+            step = step / 2
+        else:  # no halving lowered |F|
+            break
+        x, f, jac = x + step, f_new, jac_new
+    return SimpleNamespace(x=x, jac=jac, nfev=nfev)
 
 
 def _surface_for_domain(domain):
@@ -698,7 +700,7 @@ def boundary_one_form_analysis(field, resolution=48):
     characteristic (2 or 0), which guards each cell's rounding (a zero on a grid
     point breaks it), not completeness: a +1/-1 pair or an index-0 zero in one
     cell adds nothing and is not found.  Each cell of nonzero index, in grid
-    order, is refined once by Gauss-Newton (see _ChartGaussNewton) from its
+    order, is refined once by Gauss-Newton (see minimize) from its
     centre, and must end within one cell diameter on a zero (|t| at most 1e-8
     of the largest grid norm) of its index; no two cells may end on one zero.
     Any failed check raises SolverError.
@@ -727,13 +729,10 @@ def boundary_one_form_analysis(field, resolution=48):
     for cell in np.flatnonzero(index):
         p0 = centres[cell]
         gn = _ChartGaussNewton(a0, surface, p0, _tangent_frame(surface.normal(p0)))
-        res = minimize(
-            gn.objective, np.zeros(2), jac=True, hess=gn.hessian,
-            method="trust-exact", options={"gtol": 1e-16},
-        )
+        res = minimize(gn, np.zeros(2), diameters[cell])
         points.append(gn.chart(res.x))
         residual = float(np.linalg.norm(_tangential_part(a0, surface, points[-1])))
-        found = int(np.sign(np.linalg.det(gn._terms(res.x)[1])))
+        found = int(np.sign(np.linalg.det(res.jac)))
         moved = float(np.linalg.norm(points[-1] - p0))
         if residual > 1e-8 * scale or found != index[cell] or moved > diameters[cell]:
             raise SolverError(

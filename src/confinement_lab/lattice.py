@@ -173,7 +173,8 @@ def _negative_pivots(lu):
 
     None when SuperLU pivoted off the diagonal (it does so at an exactly
     zero diagonal entry): with perm_r != perm_c the signs of U's pivots
-    say nothing about the inertia.  Reading ``lu.U`` copies U.
+    say nothing about the inertia.  Reading ``lu.U`` builds CSC copies of
+    both L and U and caches them on the factor (27.6 MB at n = 29,844).
     """
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None

@@ -39,7 +39,8 @@ INCONCLUSIVE = "Inconclusive"
 
 # |c - 3/4| below this is treated as on the boundary by the indicial method.
 INDICIAL_BAND = 1e-6
-# |exponent + 1/2| below this is inconclusive for the solver method.
+# |exponent + 1/2| below this is inconclusive for the solver method, and two
+# fitted exponents further apart than this give no c.
 EXPONENT_BAND = 0.02
 CRITICAL_COUPLING = 0.75
 # Spectral parameter of the solver method: nonreal, so the Weyl alternative applies.
@@ -352,17 +353,18 @@ def _from_exponents(endpoint, slopes, resids, windows):
         )
     s_min = min(slopes)
     diags = {"fit_residuals": resids, "windows": windows, "exponents": slopes}
-    # invert s_minus = (1 - sqrt(1 + 4c))/2 for a c estimate when real-valued
-    c_est = s_min * s_min - s_min
     if s_min > -0.5 + EXPONENT_BAND:
         kind = LIMIT_CIRCLE
     elif s_min < -0.5 - EXPONENT_BAND:
         kind = LIMIT_POINT
     else:
         kind = INCONCLUSIVE
-    s_m, s_p = indicial_roots(c_est)
+    c_est = s_m = s_p = None
+    if max(slopes) - s_min <= EXPONENT_BAND:  # else |w| oscillates: complex roots
+        c_est = s_min * s_min - s_min  # inverts s_minus = (1 - sqrt(1 + 4c))/2
+        s_m, s_p = indicial_roots(c_est)
     return EndpointClassification(
-        endpoint=endpoint, kind=kind, c=float(c_est), s_minus=s_m, s_plus=s_p,
+        endpoint=endpoint, kind=kind, c=c_est, s_minus=s_m, s_plus=s_p,
         method="solve", diagnostics=diags,
     )
 
@@ -382,12 +384,12 @@ def classify_by_solving(problem: RadialProblem, endpoint):
     the dominant solution (limit point).
 
     Below c = -1/4 the indicial roots are complex, |w| oscillates, and the
-    fitted exponent is no s_minus: the kind (limit circle) is right, but the
-    reported c, s_minus and s_plus mean nothing (c = -100 reports c = -0.056).
-    No cheap test on the fit tells the two regimes apart (measured on c/r^2):
-    its two exponents differ by 0.018 at c = -0.24 (real roots), but by 0.031
-    at c = -0.26 and 0.006 at c = -0.338 (complex roots), and its largest
-    residual passes about 0.0073 on both sides of c = -1/4.
+    fitted exponents are no s_minus: the kind (limit circle) is right, and
+    c, s_minus and s_plus are None when the two exponents differ by more
+    than ``EXPONENT_BAND`` (c = -100: 0.634 and 0.060).  That test is not
+    exact (measured on c/r^2 in steps of 0.002): 19 of 875 couplings in
+    [-2, -1/4) still report a c (c = -0.338 reports -0.070, its exponents
+    0.006 apart), and the real roots of c in [-0.25, -0.244] give None.
     """
     scale = problem.length_scale()
     if math.isinf(endpoint):

@@ -653,7 +653,8 @@ TORUS = {"kind": "solid_torus3d", "major_radius": 2.0, "minor_radius": 1.0}
      ["scipy.integrate", "scipy.optimize"]),
     ({"schema": 1, "task": "monopole-verdict", "params": {"charges": [1, 2, 3, 4]}},
      ["scipy.integrate", "scipy.optimize"]),
-], ids=["torus-scan", "disk-probe", "sweep-solve", "monopole-verdict"])
+    (None, ["scipy.integrate", "scipy.optimize"]),
+], ids=["torus-scan", "disk-probe", "sweep-solve", "monopole-verdict", "reproduce"])
 def test_run_leaves_unused_scipy_subpackages_unloaded(tmp_path, spec, absent):
     import subprocess
     import sys
@@ -661,15 +662,16 @@ def test_run_leaves_unused_scipy_subpackages_unloaded(tmp_path, spec, absent):
     import confinement_lab
 
     src = os.path.dirname(os.path.dirname(confinement_lab.__file__))
+    argv = (["reproduce"] if spec is None
+            else ["run", write_spec(tmp_path, spec), "--out", str(tmp_path / "out")])
     code = ("import sys; "
             "from confinement_lab import (cli, criterion, domains, exterior, fields, lattice, "
             "radial, spherical); "
-            "assert cli.main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+            "assert cli.main(sys.argv[1:]) == 0; "
             f"print(sorted(set({absent!r}) & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code, write_spec(tmp_path, spec),
-                          str(tmp_path / "out")], env=env, capture_output=True, text=True,
-                         check=True).stdout
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, check=True).stdout
     assert out.splitlines()[-1] == "[]"
 
 def test_reproduce_timers_start_after_module_import():
@@ -680,13 +682,14 @@ def test_reproduce_timers_start_after_module_import():
 
     src = os.path.dirname(os.path.dirname(confinement_lab.__file__))
     code = ("import sys, confinement_lab.cli as cli; "
-            "cli.REPRODUCE = {'probe': cli.Check([], lambda t: 'scipy.optimize' in sys.modules, "
+            "cli.REPRODUCE = {'probe': cli.Check([], lambda t: [m in sys.modules for m in "
+            "('confinement_lab.lattice', 'confinement_lab.fields', 'scipy.optimize')], "
             "lambda p, t: (True, str(p)))}; "
             "cli.main(['reproduce'])")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines()[0].startswith("PASS  probe: True (")
+    assert out.splitlines()[0].startswith("PASS  probe: [True, True, False] (")
 
 
 def test_eig_csv_bytes_independent_of_blas_pool_size(tmp_path):

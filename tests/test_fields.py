@@ -598,17 +598,19 @@ class TestBoundaryOneForm:
         assert max(math.prod(s[:-1]) for s in a0.shapes[1:]) <= 3
 
     def test_one_refinement_per_zero(self, monkeypatch):
-        calls = []
+        nfev = []
 
         def counted(*args, **kwargs):
-            calls.append(1)
-            return minimize(*args, **kwargs)
+            res = minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
 
         minimize = fields.minimize
         monkeypatch.setattr(fields, "minimize", counted)
         report = boundary_one_form_analysis(NonToroidalField(Ball3D(1.0)))
         assert len(report.zeros) == 2
-        assert len(calls) == 2
+        # the polar cells are centred on the zeros, where F is exactly 0
+        assert nfev == [1, 1]
 
     class LinearOneForm:
         """x -> M x + c."""
@@ -694,16 +696,33 @@ class TestBoundaryOneForm:
         far = max((z.point for z in boundary_one_form_analysis(f, resolution=24).zeros),
                   key=lambda p: float(p @ b))
 
-        def started_far(fun, x0, **kwargs):
-            gn = fun.__self__
+        def started_far(gn, x0, radius):
             if np.array_equal(gn.p0, a):
                 x0 = gn.frame @ (far / (far @ a) - a)
-            return minimize(fun, x0, **kwargs)
+            return minimize(gn, x0, radius)
 
         minimize = fields.minimize
         monkeypatch.setattr(fields, "minimize", started_far)
         with pytest.raises(SolverError, match=r"index 1, 1\.09\de\+00 from the centre"):
             boundary_one_form_analysis(f, resolution=24)
+
+    def test_refinement_steps_are_capped_at_the_cell_diameter(self):
+        # uncapped Newton steps carry the refinement of one cell of index +1,
+        # 1.17 wide, to 2.15 from its centre and off any zero
+        rng = np.random.default_rng(124)
+        a0 = self.LinearOneForm(rng.normal(size=(3, 3)), 0.5 * rng.normal(size=3))
+        report = boundary_one_form_analysis(ToroidalField(2.0, SolidTorus3D(3.0, 1.0), a0),
+                                            resolution=24)
+        assert len(report.zeros) == 8
+
+    def test_refinement_stops_at_a_singular_jacobian(self):
+        # no Newton step exists; the cell's checks then raise SolverError
+        class Flat:
+            def terms(self, u):
+                return np.array([1.0, 0.0]), np.zeros((2, 2))
+
+        res = fields.minimize(Flat(), np.zeros(2), 1.0)
+        assert (res.x.tolist(), res.nfev) == ([0.0, 0.0], 1)
 
     def test_torus_zeros_sum_to_zero_index(self):
         # the constant form c: zeros where the outward normal is +-c, at

@@ -344,9 +344,12 @@ class TestSolving:
             classify_by_solving(nan, 0.0)
 
     def test_oscillatory_subcritical_is_limit_circle(self):
-        # c < -1/4 gives complex indicial roots with real part 1/2: limit circle
-        cls = classify_by_solving(synthetic_problem(-1.0), 0.0)
-        assert cls.kind == LIMIT_CIRCLE
+        # c < -1/4 gives complex indicial roots with real part 1/2: limit
+        # circle, and the two fitted exponents disagree, so no c is read off
+        for c in (-1.0, -100.0):
+            cls = classify_by_solving(synthetic_problem(c), 0.0)
+            assert cls.kind == LIMIT_CIRCLE
+            assert (cls.c, cls.s_minus, cls.s_plus) == (None, None, None)
 
 
 class TestVerdicts:
