@@ -339,18 +339,24 @@ def _r_landau_check(ctx, seed):
     from .fields import ConstantField
     from .lattice import assemble
 
-    half = ctx["side"] / 2.0
-    op = assemble(ConstantField(plane_two_form(ctx["b"])),
-                  axis_box([-half, -half], [half, half]), ctx["h"])
-    vals = op.lowest_eigenvalues(k=ctx["k"])[0].tolist()
+    b, h, half = ctx["b"], ctx["h"], ctx["side"] / 2.0
+    op = assemble(ConstantField(plane_two_form(b)), axis_box([-half, -half], [half, half]), h)
+    # The lattice Landau bottom: the solve starts there if no eigenvalue lies below it.
+    bottom = 1.0 - b * h * h / 8.0
+    guess = b * bottom
+    vals = op.lowest_eigenvalues(k=ctx["k"], guess=guess)[0].tolist()
     lo, hi = ctx["window"]
-    scaled = vals[0] / ctx["b"]
+    scaled = vals[0] / b
     within = bool(lo <= scaled <= hi)
     warnings = []
     if not within:
         warnings.append(
             f"lambda_1/b = {scaled:.6g} fell outside the window [{lo}, {hi}]"
         )
+    if vals[0] < guess:
+        warnings.append(f"lambda_1/b = {scaled:.6g} lies below the lattice Landau bottom "
+                        f"1 - b h^2/8 = {bottom:.6g}: the lattice is too coarse for the "
+                        "Landau asymptotics")
     payload = {
         "b": ctx["b"],
         "side": ctx["side"],

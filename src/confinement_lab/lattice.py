@@ -144,16 +144,19 @@ class LatticeOperator:
         u = np.asarray(u)
         return float(self.grid.h**self.grid.dim * np.real(np.vdot(u, u)))
 
-    def lowest_eigenvalues(self, k=1):
+    def lowest_eigenvalues(self, k=1, guess=None):
         """k smallest eigenpairs, residual-checked at ``RESIDUAL_RTOL``.
 
         The solve starts from the zero shift: the assembled operator is
-        positive semidefinite, so that shift is always factorable.
+        positive semidefinite, so that shift is always factorable.  A
+        ``guess`` above 0 (an estimate of the lowest eigenvalue from below)
+        is tried first and kept as the start shift only when its factor has
+        no negative pivot; otherwise the solve starts from 0 as without it.
         """
         n = self.n_sites
         if k < 1 or k >= n:
             raise ValidationError(f"need 1 <= k < {n}")
-        return _eigensolve(self.matrix, k, RESIDUAL_RTOL, 0.0)
+        return _eigensolve(self.matrix, k, RESIDUAL_RTOL, 0.0, guess)
 
     def to_matrix_market(self, path):
         import scipy.io
@@ -235,7 +238,7 @@ def _orthonormal(B):
     return scipy.linalg.qr(B, mode="economic", overwrite_a=True, check_finite=False)[0]
 
 
-def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
+def lowest_pairs(A, k, rtol, sigma=None, maxiter=600, guess=None):
     """k lowest eigenpairs of a sparse Hermitian matrix, possibly indefinite.
 
     Shifted block inverse iteration with Rayleigh-Ritz extraction.  Two
@@ -253,11 +256,16 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
     diagonal pivots only), which halves the fill of the default ordering.
     With perm_r == perm_c the count of negative pivots of U is the number
     of eigenvalues below the shift (Sylvester's law of inertia), so an
-    advance is kept only when that count is zero; otherwise the current
+    advance is kept only when that count is zero; otherwise (a count above
+    0, no count, or a candidate that cannot be factored) the current
     factorization stays and the shift stops advancing.
 
     ``sigma`` must not exceed the smallest eigenvalue; None uses the
-    Gershgorin bound.  Residuals are measured against rtol * |A|_inf.  The
+    Gershgorin bound.  A ``guess`` above ``sigma`` is factored first and
+    becomes the start shift under the same rule as an advance: only when
+    that factor has no negative pivot.  A count above 0, no count, or a
+    failed factorization leaves the solve to start from ``sigma`` exactly
+    as without a guess.  Residuals are measured against rtol * |A|_inf.  The
     start block and the columns added when it grows are drawn from one
     generator seeded with 0.  A real A is solved as complex.
 
@@ -285,7 +293,16 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
                 shift -= max(1e-8 * (1.0 + abs(shift)), 1e-10)
         raise SolverError(f"factorization failed near shift {shift:.6e}")
 
-    lu, sigma = factor(sigma)
+    def below_spectrum(shift):
+        """(factor, shift) at ``shift`` if its count is 0, else None."""
+        try:
+            cand = factor(shift)
+        except SolverError:
+            return None
+        return cand if _negative_pivots(cand[0]) == 0 else None
+
+    start = below_spectrum(guess) if guess is not None and guess > sigma else None
+    lu, sigma = start or factor(sigma)
     m_cap = min(n, max(128, 4 * k))
     m = min(k + 2, m_cap)
     rng = np.random.default_rng(0)
@@ -313,9 +330,9 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
             if (advances_ok and it >= 3 * window
                     and cand > sigma + 0.05 * gap
                     and rnorms[0] <= 0.05 * gap):
-                cand_lu, cand = factor(cand)
-                if _negative_pivots(cand_lu) == 0:
-                    lu, sigma = cand_lu, cand
+                kept = below_spectrum(cand)
+                if kept:
+                    lu, sigma = kept
                 else:
                     advances_ok = False
             elif last_res > 0.5 * prev_res and m < m_cap:
@@ -330,11 +347,12 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600):
     )
 
 
-def _eigensolve(A, k, rtol, sigma):
+def _eigensolve(A, k, rtol, sigma, guess=None):
     """k lowest eigenpairs of a sparse Hermitian matrix, each with residual
     |A v - lambda v| / |v| at most rtol * |A|_inf.
 
-    ``lowest_pairs`` from the shift ``sigma``, at every size.  The public
+    ``lowest_pairs`` from the shift ``sigma`` (or from ``guess``, when its
+    factor has no negative pivot), at every size.  The public
     eigensolvers both call this and never each other, so that a traced
     eigensolve span does not nest.
 
@@ -357,7 +375,7 @@ def _eigensolve(A, k, rtol, sigma):
     """
     try:
         with one_blas_thread():
-            vals, vecs = lowest_pairs(A, k, rtol=rtol, sigma=sigma)
+            vals, vecs = lowest_pairs(A, k, rtol=rtol, sigma=sigma, guess=guess)
             target = rtol * max(1.0, spla.norm(A, np.inf))
             res = np.linalg.norm(A @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
     finally:

@@ -291,6 +291,56 @@ def test_dump_matrix_without_a_matrix_warns_in_the_report(tmp_path):
     assert report["warnings"] == ["--dump-matrix: this task assembles no matrix"]
 
 
+def test_landau_window_starts_at_the_lattice_landau_bottom(monkeypatch):
+    from types import SimpleNamespace
+
+    import scipy.sparse.linalg as spla
+
+    from confinement_lab import cli, lattice
+
+    counts = {"factors": 0, "solves": 0}
+    splu = spla.splu
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            counts["solves"] += 1
+            return self.lu.solve(rhs)
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+    def counting_splu(*args, **kwargs):
+        counts["factors"] += 1
+        return Factor(splu(*args, **kwargs))
+
+    monkeypatch.setattr(lattice, "spla", SimpleNamespace(splu=counting_splu, norm=spla.norm))
+    payload = cli.REPRODUCE["landau-window"].run({"lo": 0.9, "hi": 1.1})
+    # From the zero shift the same box takes 4 factors and 49 solves.
+    assert counts["factors"] == 1 and counts["solves"] <= 4
+    assert f"{payload['lambda_1_over_b']:.6f}" == "0.992208"
+
+
+def test_landau_check_warns_below_the_lattice_landau_bottom(tmp_path):
+    spec = {"schema": 1, "task": "landau-check", "params": {"side": 20.0, "h": 1.0},
+            "output": "coarse"}
+    rc, outdir = run(tmp_path, spec)
+    assert rc == 0
+    report = json.loads((outdir / "coarse.report.json").read_text())
+    assert report["warnings"] == [
+        "lambda_1/b = 0.874776 fell outside the window [0.9, 1.1]",
+        "lambda_1/b = 0.874776 lies below the lattice Landau bottom 1 - b h^2/8 = 0.875: "
+        "the lattice is too coarse for the Landau asymptotics",
+    ]
+    assert "Landau bottom" not in json.dumps(report["payload"])
+    assert "Landau bottom" not in (outdir / "coarse.csv").read_text()
+    fine = dict(spec, params={"side": 10.0, "h": 0.25}, output="fine")
+    rc, outdir = run(tmp_path, fine)
+    assert json.loads((outdir / "fine.report.json").read_text())["warnings"] == []
+
+
 def test_scan_report_holds_the_summary_and_the_csv_the_samples(tmp_path):
     spec = {"schema": 1, "task": "scan-criterion", "params": {"anchors": 16}, "output": "scan",
             "field": {"kind": "nontoroidal", "domain": {"kind": "ball3d", "radius": 1.0}}}

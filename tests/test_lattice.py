@@ -8,7 +8,7 @@ import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from confinement_lab.domains import Ball3D, Disk2D, PuncturedSpace, axis_box, rotated_unit_square
@@ -478,6 +478,109 @@ def test_singular_shift_retried_below(monkeypatch):
     vals, _ = lowest_pairs(A, 1, rtol=1e-8, sigma=0.0)
     assert len(errors) == 1
     assert abs(vals[0]) < 1e-12
+
+
+def _record_factors(monkeypatch, fails=lambda call: False):
+    """Every factor ``lattice`` builds from now on, in order; a call whose
+    index ``fails`` raises SuperLU's singular-matrix RuntimeError and is
+    recorded as None."""
+    factors, splu = [], lattice.spla.splu
+
+    def recording_splu(*args, **kwargs):
+        if fails(len(factors)):
+            factors.append(None)
+            raise RuntimeError("Factor is exactly singular")
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(lattice.spla, "splu", recording_splu)
+    return factors
+
+
+def _landau_box(side, h):
+    return assemble(ConstantField(plane_two_form(1.0)),
+                    axis_box([-side / 2, -side / 2], [side / 2, side / 2]), h)
+
+
+def test_guess_below_the_spectrum_is_the_only_factor(monkeypatch):
+    op = _landau_box(10.0, 0.25)
+    assert op.n_sites == 1600
+    factors = _record_factors(monkeypatch)
+    vals, _ = op.lowest_eigenvalues(k=1, guess=DISCRETE_LANDAU)
+    assert len(factors) == 1 and _negative_pivots(factors[0]) == 0
+    exact = scipy.linalg.eigvalsh(op.matrix.toarray(), subset_by_index=(0, 0))
+    bound = lattice.RESIDUAL_RTOL * spla.norm(op.matrix, np.inf)
+    assert exact[0] - 1e-12 <= vals[0] <= exact[0] + bound
+
+
+def test_guess_above_the_lowest_eigenvalue_is_refused(monkeypatch):
+    # At h = 1 the lattice Landau bottom 1 - h^2/8 = 0.875 lies above
+    # lambda_1 = 0.87478: the guess factor counts negative pivots.
+    op = _landau_box(20.0, 1.0)
+    factors = _record_factors(monkeypatch)
+    expected = op.lowest_eigenvalues(k=1)
+    unguessed = len(factors)
+    got = op.lowest_eigenvalues(k=1, guess=0.875)
+    assert got[0][0] < 0.875
+    assert len(factors) == 2 * unguessed + 1 and _negative_pivots(factors[unguessed]) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(expected, got))
+
+
+@pytest.mark.parametrize("guess", [0.0, -1.0])
+def test_guess_at_or_below_the_start_shift_changes_nothing(monkeypatch, guess):
+    op = _landau_box(10.0, 0.25)
+    factors = _record_factors(monkeypatch)
+    expected = op.lowest_eigenvalues(k=2)
+    unguessed = len(factors)
+    got = op.lowest_eigenvalues(k=2, guess=guess)
+    assert len(factors) == 2 * unguessed
+    assert all(np.array_equal(a, b) for a, b in zip(expected, got))
+
+
+def test_unfactorable_guess_falls_back_to_the_start_shift(monkeypatch):
+    op = _landau_box(10.0, 0.25)
+    expected = op.lowest_eigenvalues(k=1)
+    # The guess and its two retries below it fail; the solve then runs from 0.
+    factors = _record_factors(monkeypatch, fails=lambda call: call < 3)
+    got = op.lowest_eigenvalues(k=1, guess=DISCRETE_LANDAU)
+    assert factors[:3] == [None] * 3 and all(lu is not None for lu in factors[3:])
+    assert all(np.array_equal(a, b) for a, b in zip(expected, got))
+
+
+def test_unfactorable_shift_advance_is_refused(monkeypatch):
+    op = _landau_box(8.0, 0.25)
+    monkeypatch.setattr(lattice, "_negative_pivots", lambda lu: 1)
+    refused, _ = lowest_pairs(op.matrix, 1, rtol=1e-8, sigma=0.0)
+    monkeypatch.undo()
+    # The zero shift factors; the advance candidate and both retries fail.
+    factors = _record_factors(monkeypatch, fails=lambda call: call > 0)
+    vals, _ = lowest_pairs(op.matrix, 1, rtol=1e-8, sigma=0.0)
+    assert len(factors) == 4 and factors[1:] == [None] * 3
+    assert np.array_equal(vals, refused)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.floats(0.5, 2.5), st.floats(0.25, 1.0), st.integers(6, 29), st.integers(1, 3))
+@example(1.0, 0.25, 29, 2)    # guess kept: lambda_1 = 0.99834 > 0.99219
+@example(2.5, 1.0, 17, 3)     # guess refused: lambda_1 = 1.41224 < 1.71875
+def test_landau_check_matches_dense_whether_the_guess_is_kept_or_refused(b, h, cells, k):
+    # At most 30 x 30 sites.  The guess b (1 - b h^2 / 8) is kept on fine
+    # lattices and refused on coarse ones, where lambda_1 lies below it.
+    from confinement_lab import cli
+
+    spec = {"task": "landau-check", "params": {"b": b, "side": cells * h, "h": h, "k": k}}
+    payload, _, _, op = cli.TASKS["landau-check"].runner(cli._validate(spec), 0)
+    assert op.n_sites <= 900
+    exact = np.linalg.eigvalsh(op.matrix.toarray())[:k]
+    scale = max(1.0, spla.norm(op.matrix, np.inf))
+    bound = lattice.RESIDUAL_RTOL * scale
+    vals = np.array(payload["eigenvalues"])
+    event("guess kept" if exact[0] > b * (1.0 - b * h * h / 8.0) else "guess refused")
+    # Ritz values bound the eigenvalues from above, and each reported value
+    # lies within the residual bound of the eigenvalue of its own index: a
+    # lambda_2 reported for lambda_1 fails this whenever the two differ by
+    # more than the bound.
+    assert np.all(vals >= exact - 1e-12 * scale) and np.all(vals <= exact + bound)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
