@@ -427,11 +427,10 @@ def _expand_alphas(ctx):
         lo, hi = rng
         if hi <= lo:
             raise SpecError("'range' must be [lo, hi] with lo < hi")
-        alphas = []
-        v = lo
-        while v <= hi + 1e-12:
-            alphas.append(round(v, 12))
-            v += step
+        alphas, i = [], 0
+        while lo + i * step <= hi + 1e-12:
+            alphas.append(round(lo + i * step, 12))
+            i += 1
     ctx["alphas"] = alphas
 
 

@@ -55,17 +55,17 @@ class CriterionReport:
     params: dict
 
 
-def direction_regularity(directions, tol=OSCILLATION_TOL):
+def direction_regularity(directions):
     """Oscillation of the unit field direction along each ray.
 
     directions: (anchors, depths, d, d) unit-form matrices, each ray from the
     largest depth to the smallest, NaN where a direction is missing.  Returns
     (regular, max_oscillation, per_anchor): per-anchor oscillation is the max
     pairwise distance between a ray's present directions (0.0 below two), and
-    regularity also requires the step between consecutive present directions
-    not to grow from the first to the last (within the factor ``TREND_SLACK``
-    and the absolute ``TREND_FLOOR`` that absorbs the finite-difference noise
-    plateau).
+    regularity requires it below ``OSCILLATION_TOL`` and the step between
+    consecutive present directions not to grow from the first to the last
+    (within the factor ``TREND_SLACK`` and the absolute ``TREND_FLOOR`` that
+    absorbs the finite-difference noise plateau).
     """
     dirs = np.asarray(directions, dtype=float)
     iu = np.triu_indices(dirs.shape[-1], k=1)
@@ -83,7 +83,7 @@ def direction_regularity(directions, tol=OSCILLATION_TOL):
     rows = np.arange(len(order))
     first = dist[rows, ends[:, 0], ends[:, 1]]
     last = dist[rows, ends[:, 2], ends[:, 3]]
-    oscillates = (count >= 2) & (per_anchor >= tol)
+    oscillates = (count >= 2) & (per_anchor >= OSCILLATION_TOL)
     grows = (count >= 3) & (last > TREND_SLACK * first + TREND_FLOOR)
     regular = not np.any(oscillates | grows)
     return regular, float(per_anchor.max(initial=0.0)), per_anchor.tolist()

@@ -85,23 +85,20 @@ FD_BASE = 1e-5
 FD_BOUNDARY_FRACTION = 0.02
 
 
-def central_difference_batch(potential, x, dim, domain=None, step=None) -> np.ndarray:
+def central_difference_batch(potential, x, dim, domain=None) -> np.ndarray:
     """Central-difference coefficients of dA at points x, shape (..., d) -> (..., d, d).
 
-    The step is ``step``, or 1e-5 * (1 + |x|) shrunk near ``domain``'s
-    boundary.  One potential call per axis and sign covers every point.
+    The step is ``FD_BASE`` * (1 + |x|), shrunk near ``domain``'s boundary.
+    One potential call per axis and sign covers every point.
     """
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, dim)
-    if step is None:
-        h = FD_BASE * (1.0 + np.linalg.norm(pts, axis=-1))
-        if domain is not None:
-            dist = domain.signed_distance(pts)
-            if not np.all(dist > 0):
-                raise DomainError("field evaluation outside the domain")
-            h = np.minimum(h, FD_BOUNDARY_FRACTION * dist)
-    else:
-        h = np.full(pts.shape[0], float(step))
+    h = FD_BASE * (1.0 + np.linalg.norm(pts, axis=-1))
+    if domain is not None:
+        dist = domain.signed_distance(pts)
+        if not np.all(dist > 0):
+            raise DomainError("field evaluation outside the domain")
+        h = np.minimum(h, FD_BOUNDARY_FRACTION * dist)
     jac = np.empty((pts.shape[0], dim, dim))
     for j in range(dim):
         dx = h[:, None] * np.eye(dim)[j]

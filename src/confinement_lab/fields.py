@@ -322,21 +322,14 @@ class MonopoleField(MagneticField):
         self.dim = 3
         self.domain = PuncturedSpace(3)
 
-    def potential(self, x, patch="auto"):
-        """Gauge-patch potential.  patch: 'north', 'south', or 'auto' (pick by
-        the sign of z, so the Dirac string of the chosen patch is avoided)."""
+    def potential(self, x):
+        """Gauge-patch potential: the north patch where z >= 0, the south patch
+        below, so the Dirac string of the chosen patch is avoided."""
         x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)
         if np.any(r < _DENOM_TINY):
             raise SingularityError("monopole potential evaluated at the origin")
-        if patch == "auto":
-            north = x[..., 2] >= 0.0
-        elif patch == "north":
-            north = np.ones(x.shape[:-1], dtype=bool)
-        elif patch == "south":
-            north = np.zeros(x.shape[:-1], dtype=bool)
-        else:
-            raise ValidationError("patch must be 'north', 'south', or 'auto'")
+        north = x[..., 2] >= 0.0
         # denominators r (r +/- z) vanish exactly on the patch's Dirac string
         den = np.where(north, r * (r + x[..., 2]), r * (r - x[..., 2]))
         if np.any(np.abs(den) < _DENOM_TINY * np.maximum(r * r, 1.0)):

@@ -40,6 +40,9 @@ from .errors import (
 from .exterior import norm_sp_batch
 
 RESIDUAL_RTOL = 1e-8
+# Inverse-iteration steps before lowest_pairs gives up.
+MAX_ITERATIONS = 600
+CALIBRATION_STRENGTHS = (1.0, 3.0)
 GAUSS3_NODES = (0.5 - math.sqrt(3.0 / 5.0) / 2.0, 0.5, 0.5 + math.sqrt(3.0 / 5.0) / 2.0)
 GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 
@@ -60,8 +63,8 @@ class Grid:
         return self.sites.shape[1]
 
 
-def build_grid(dom, h, delta=0.0, offset=None):
-    """Cell-centered grid offset + h Z^d, keeping sites x with D(x) > delta.
+def build_grid(dom, h, delta=0.0):
+    """Cell-centered grid (h/2, ..., h/2) + h Z^d, keeping sites x with D(x) > delta.
 
     delta = 0 keeps every strictly interior site.  A positive truncation
     depth requires h < delta / 2 so the retained band is at least two cells
@@ -78,7 +81,7 @@ def build_grid(dom, h, delta=0.0, offset=None):
     except DomainError as err:
         raise ValidationError(f"lattice needs a bounded domain: {err}") from err
     d = len(lo)
-    offset = np.full(d, h / 2.0) if offset is None else np.asarray(offset, dtype=float)
+    offset = h / 2.0
     k_lo = np.ceil((lo - offset) / h).astype(int)
     k_hi = np.floor((hi - offset) / h).astype(int)
     axes = [np.arange(k_lo[i], k_hi[i] + 1) for i in range(d)]
@@ -238,7 +241,7 @@ def _orthonormal(B):
     return scipy.linalg.qr(B, mode="economic", overwrite_a=True, check_finite=False)[0]
 
 
-def lowest_pairs(A, k, rtol, sigma=None, maxiter=600, guess=None):
+def lowest_pairs(A, k, rtol, sigma=None, guess=None):
     """k lowest eigenpairs of a sparse Hermitian matrix, possibly indefinite.
 
     Shifted block inverse iteration with Rayleigh-Ritz extraction.  Two
@@ -309,7 +312,7 @@ def lowest_pairs(A, k, rtol, sigma=None, maxiter=600, guess=None):
     X = _orthonormal(rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
     window, prev_res = 8, np.inf
     advances_ok, last_res = True, np.inf
-    for it in range(maxiter):
+    for it in range(MAX_ITERATIONS):
         Y = lu.solve(X)
         if not np.all(np.isfinite(Y)):
             lu, sigma = factor(sigma - max(1e-6 * (1.0 + abs(sigma)), 1e-8))
@@ -546,9 +549,9 @@ def _trial_vectors(op, n_random, seed, n_eigenvectors):
     return trials
 
 
-def calibrate_form_constant(dom, h, field_builder, strengths=(1.0, 3.0)):
+def calibrate_form_constant(dom, h, field_builder):
     """Calibrate K once: twice the worst observed deficit rate on the fields
-    of the given strengths at the coarsest spacing.
+    of the strengths ``CALIBRATION_STRENGTHS`` at the coarsest spacing.
 
     The trials are the K = 0 rows of ``commutator_bound_test`` (4 random
     pairs with seed 11, two eigenvectors), where slack = form - paired; a
@@ -556,7 +559,7 @@ def calibrate_form_constant(dom, h, field_builder, strengths=(1.0, 3.0)):
     Returns (K, {strength: rate}).
     """
     rates = {}
-    for b in strengths:
+    for b in CALIBRATION_STRENGTHS:
         rate = 0.0
         for row in commutator_bound_test(field_builder(b), dom, h, 0.0, n_random=4, seed=11):
             if row["slack"] < 0:

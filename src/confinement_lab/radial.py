@@ -50,6 +50,7 @@ SPECTRAL_PARAMETER = 1j
 NODE_COUNTS = (16, 24)
 COLLOCATION_TOL = 1e-9
 REFINEMENTS = 6
+BISECTION_TOL = 1e-3
 
 
 @dataclass
@@ -183,6 +184,15 @@ def _kind_from_c(c):
     return INCONCLUSIVE
 
 
+def _inward(problem, endpoint):
+    """+1 at the left end of the problem's interval, -1 at the right end (the
+    direction into the interval); RangeError at any other point."""
+    a, b = problem.interval
+    if not (endpoint == a or endpoint == b):
+        raise RangeError(f"endpoint {endpoint} is not an endpoint of {problem.interval}")
+    return 1.0 if endpoint == a else -1.0
+
+
 def classify_indicial(problem: RadialProblem, endpoint):
     """Endpoint type from the extrapolated coupling c = lim dist^2 q(dist).
 
@@ -191,7 +201,7 @@ def classify_indicial(problem: RadialProblem, endpoint):
     potential more singular than dist^-2 with a negative coefficient, which
     the indicial framework does not cover.
     """
-    a, b = problem.interval
+    sign = _inward(problem, endpoint)
     if math.isinf(endpoint):
         r = 10.0 ** np.arange(1, 8)
         qv = np.asarray(problem.q(r), dtype=float)
@@ -208,13 +218,10 @@ def classify_indicial(problem: RadialProblem, endpoint):
             method="indicial",
             diagnostics={"reason": "infinite endpoint with potential bounded below"},
         )
-    if not (endpoint == a or endpoint == b):
-        raise RangeError(f"endpoint {endpoint} is not an endpoint of {problem.interval}")
-
     scale = problem.length_scale()
     ks = np.arange(2, 9)
     dists = scale * 10.0 ** (-ks.astype(float))
-    rs = endpoint + dists if endpoint == a else endpoint - dists
+    rs = endpoint + sign * dists
     y = dists**2 * np.asarray(problem.q(rs), dtype=float)
 
     # divergence of dist^2 q means a singularity stronger than dist^-2
@@ -264,12 +271,9 @@ def _coefficient(problem, endpoint):
     """g of w'' = drift w' + g(t) w for ``problem`` at ``endpoint``, for an
     array of t: q - lambda at r = t toward infinity, x^2 (q - lambda) at dist
     x = e^t from a finite endpoint."""
+    sign = _inward(problem, endpoint)
     if math.isinf(endpoint):
         return lambda t: problem.q(t) - SPECTRAL_PARAMETER
-    a, b = problem.interval
-    if not (endpoint == a or endpoint == b):
-        raise RangeError(f"endpoint {endpoint} is not an endpoint of {problem.interval}")
-    sign = 1.0 if endpoint == a else -1.0
 
     def g(t):
         x = np.exp(t)
@@ -483,9 +487,10 @@ def sweep_alpha(alphas, mode=0, method="indicial"):
     return rows
 
 
-def threshold_bisection(lo=0.5, hi=1.2, mode=0, method="solve", tol=1e-3):
+def threshold_bisection(lo=0.5, hi=1.2, mode=0, method="solve"):
     """Bisect the alpha at which the boundary endpoint flips limit circle ->
-    limit point (exact transition alpha = sqrt(3)/2), at most 60 halvings.
+    limit point (exact transition alpha = sqrt(3)/2) down to a bracket of
+    ``BISECTION_TOL``, at most 60 halvings.
 
     An inconclusive classification means the probe (a bracket end or a
     midpoint) landed inside the method's resolution band around the
@@ -509,7 +514,7 @@ def threshold_bisection(lo=0.5, hi=1.2, mode=0, method="solve", tol=1e-3):
         return hi
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
+        if hi - lo <= BISECTION_TOL:
             return mid
         k_mid = kind_at(mid)
         if k_mid == INCONCLUSIVE:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from confinement_lab import cli
 from confinement_lab.cli import main
 
 UNIT_FIELD = {"kind": "constant", "two_form": [[0.0, 1.0], [-1.0, 0.0]]}
@@ -157,6 +158,13 @@ def test_sweep_alpha_wide_range_bisects_to_the_transition(tmp_path):
     assert abs(report["payload"]["threshold_estimate"] - 0.8660254) < 0.05
 
 
+def test_sweep_alpha_range_lands_on_the_grid():
+    # Summing the step drifted: 9,999 alphas, the last 99.990000000014.
+    ctx = {"alphas": None, "range": [0.01, 100.0], "step": 0.01}
+    cli._expand_alphas(ctx)
+    assert ctx["alphas"] == [k / 100 for k in range(1, 10001)]
+
+
 def test_monopole_verdict_strong_charge_agrees(tmp_path):
     spec = {"schema": 1, "task": "monopole-verdict", "params": {"charges": [2, 140]},
             "output": "mono"}
@@ -229,8 +237,6 @@ def test_lemma_slack_calibrates_K_when_omitted(tmp_path, monkeypatch):
     assert payload["calibration"] == {
         "h": 0.4, "rates": {"1": 0.022792517621245983, "3": 0.04422157649496254}}
     # The polytope-slack check of ``reproduce`` passes this K, rounded to 8 digits.
-    from confinement_lab import cli
-
     canned = []
     monkeypatch.setattr(cli, "_run_canned", lambda spec: canned.append(spec) or {
         "min_slack": 0.0, "n_trials": 0})

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confinement_lab import criterion
 from confinement_lab.cli import main
 from confinement_lab.criterion import (
     BELOW_THRESHOLD,
@@ -339,7 +340,9 @@ class TestDirectionRegularity:
     @given(direction_tables(), st.floats(0.01, 3.0))
     def test_matches_loop_reference(self, table, tol):
         lists = [[None if np.isnan(m).any() else m for m in ray] for ray in table]
-        assert direction_regularity(table, tol=tol) == direction_regularity_loop(lists, tol=tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(criterion, "OSCILLATION_TOL", tol)
+            assert direction_regularity(table) == direction_regularity_loop(lists, tol=tol)
 
 
 class TestSamplingMechanics:

@@ -62,12 +62,6 @@ def test_grid_cell_centered_count():
     assert np.allclose(g.sites.max(axis=0), [0.875, 0.875])
 
 
-def test_grid_custom_offset():
-    g = build_grid(unit_square(), 0.25, offset=[0.0, 0.0])
-    rem = np.remainder(g.sites, 0.25)
-    assert np.allclose(np.minimum(rem, 0.25 - rem), 0.0, atol=1e-12)
-
-
 def test_grid_truncation_removes_rim():
     g = build_grid(Disk2D(1.0), 0.05, delta=0.2)
     d = Disk2D(1.0).distance(g.sites)
@@ -297,11 +291,12 @@ def test_eigenvectors_orthonormal_and_sorted():
     assert np.max(np.abs(gram - np.eye(4))) < 1e-8
 
 
-def test_lowest_pairs_maxiter_raises(pools_at_two):
+def test_lowest_pairs_maxiter_raises(pools_at_two, monkeypatch):
     op = assemble(ConstantField(plane_two_form(1.0)),
                   axis_box([-5.0, -5.0], [5.0, 5.0]), 0.25)
+    monkeypatch.setattr(lattice, "MAX_ITERATIONS", 2)
     with pytest.raises(SolverError):
-        lowest_pairs(op.matrix, 1, rtol=1e-8, sigma=0.0, maxiter=2)
+        lowest_pairs(op.matrix, 1, rtol=1e-8, sigma=0.0)
     assert set(pools_at_two()) == {2}
 
 
@@ -379,6 +374,34 @@ def test_one_sparse_product_per_inverse_iteration_step(monkeypatch):
     vals, _ = lowest_pairs(A, 4, rtol=1e-8, sigma=0.0)
     assert solves and A.products == len(solves)
     assert vals[0] == pytest.approx(0.9950445907, rel=1e-9)
+
+
+def test_non_finite_solve_refactors_below_the_shift(monkeypatch):
+    rng = np.random.default_rng(3)
+    M = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+    A = sp.csc_matrix(M + M.conj().T)
+    shifts, solves = [], []
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(rhs.shape)  # the first solve overflows
+            return np.full_like(rhs, np.inf) if len(solves) == 1 else self.lu.solve(rhs)
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+    def splu(S, *args, **kwargs):
+        shifts.append(float(np.mean((A.diagonal() - S.diagonal()).real)))
+        return Factor(spla.splu(S, *args, **kwargs))
+
+    monkeypatch.setattr(lattice, "spla", SimpleNamespace(splu=splu, norm=spla.norm))
+    vals, _ = lowest_pairs(A, 3, rtol=1e-10, sigma=-40.0)
+    # The overflowed first solve is redone on a factor just below the shift.
+    assert shifts[:2] == pytest.approx([-40.0, -40.0 - 1e-6 * 41.0], abs=1e-12)
+    assert vals == pytest.approx(np.linalg.eigvalsh(A.toarray())[:3], abs=1e-8)
 
 
 def test_blas_threads_caps_and_restores(pools_at_two):
@@ -775,7 +798,7 @@ def test_lemma_slack_evaluates_the_field_once_per_operator(monkeypatch):
     rows = commutator_bound_test(fld, sq, 0.05, K=0.09, n_random=3)
     assert len(calls) == 1
     calls.clear()
-    calibrate_form_constant(sq, 0.1, lambda b: PolytopeField(sq), strengths=(1.0, 2.0))
+    calibrate_form_constant(sq, 0.1, lambda b: PolytopeField(sq))
     assert len(calls) == 2
     # The rows are bit-identical to terms built from a fresh field evaluation.
     op = assemble(fld, sq, 0.05)

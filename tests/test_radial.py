@@ -207,6 +207,13 @@ class TestIndicial:
         with pytest.raises(RangeError):
             classify_indicial(reduce_disk_mode(0.5, 0), 0.5)
 
+    @pytest.mark.parametrize("classify", [classify_indicial, classify_by_solving],
+                             ids=["indicial", "solve"])
+    def test_infinite_endpoint_of_a_finite_interval_rejected(self, classify):
+        # The disk mode lives on (0, 1); infinity is no endpoint of it.
+        with pytest.raises(RangeError):
+            classify(reduce_disk_mode(0.5, 0), math.inf)
+
 
 class TestSolving:
     def test_selftest_accuracy(self):
@@ -391,8 +398,9 @@ class TestSweepAndBisection:
         assert rows[0]["s_minus"].real == pytest.approx((1 - math.sqrt(2)) / 2, rel=1e-5)
         assert rows[1]["s_plus"].real == pytest.approx((1 + math.sqrt(4.24)) / 2, rel=1e-4)
 
-    def test_bisection_indicial_precision(self):
-        est = threshold_bisection(method="indicial", tol=1e-4)
+    def test_bisection_indicial_precision(self, monkeypatch):
+        monkeypatch.setattr(radial, "BISECTION_TOL", 1e-4)
+        est = threshold_bisection(method="indicial")
         assert abs(est - SQRT3_2) < 1e-3
 
     def test_bisection_solve_within_band(self):

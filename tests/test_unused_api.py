@@ -1,14 +1,17 @@
-"""Guard against public API that nothing in the package uses.
+"""Guard against public API and options that nothing in the package uses.
 
-A public top-level function or class of ``src/confinement_lab`` must be
-referenced somewhere in the package (as a name, an attribute or an import),
-and a public method of such a class as an attribute.  The exceptions are
-oracles kept for the tests on purpose; a new one needs a deliberate entry in
-``ALLOWED`` or ``ALLOWED_METHODS``.
+Tests are not callers.  A public top-level function or class of
+``src/confinement_lab`` must be referenced somewhere in the package (as a
+name, an attribute or an import), and a public method of such a class as an
+attribute.  The exceptions are oracles kept for the tests on purpose; a new
+one needs a deliberate entry in ``ALLOWED`` or ``ALLOWED_METHODS``.  These
+exempt definitions only, never a parameter.
 
-An optional parameter must be set by some call in the package, the tests or
-the benchmark: a default that no call overrides is a constant.  A module-level
-constant (an upper-case name) must be read somewhere in the package.
+An optional parameter must be set by some call in the package or the
+benchmark: a default that only tests override is a constant, and a test
+changes it by monkeypatching the module constant.  A module-level constant (an
+upper-case name) must be read somewhere in the package.  The package reads no
+environment variable, so a removed option cannot return as one.
 """
 
 import ast
@@ -25,6 +28,8 @@ ALLOWED = {"lipschitz_check", "plaquette_phases", "ground_state_deficit", "solve
 # Closed-form values of the example fields that only the tests call.
 ALLOWED_METHODS = {"PolytopeField.exact_b12", "DiskCounterexampleField.margin_exact",
                    "MonopoleField.flux_through_sphere"}
+# The ways to read (or set) the process environment.
+ENVIRONMENT = {"environ", "getenv", "putenv"}
 
 
 def _package_names():
@@ -114,8 +119,9 @@ def _optional_parameters(trees):
 
 def test_every_optional_parameter_is_set_by_some_call():
     # A constructor's json_keys count as set: ``_decode`` passes them by name.
+    # Calls in the tests do not count.
     calls = {}
-    for tree in _trees(PACKAGE) + _trees(CHECKOUT / "tests") + _trees(CHECKOUT / "bench"):
+    for tree in _trees(PACKAGE) + _trees(CHECKOUT / "bench"):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
@@ -133,3 +139,16 @@ def test_every_optional_parameter_is_set_by_some_call():
              in _optional_parameters(_trees(PACKAGE))
              if arg not in keys and not is_set(callee, arg, index)]
     assert unset == []
+
+
+def test_src_reads_no_environment_variables():
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+                    and getattr(node.value, "id", None) == "os"):
+                reads.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno} from os import {a.name}"
+                          for a in node.names if a.name in ENVIRONMENT]
+    assert reads == []
